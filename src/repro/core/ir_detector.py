@@ -2,8 +2,8 @@
 
 The IR-detector monitors the R-stream as it retires instructions.
 Retired instructions and values construct per-trace reverse dataflow
-graphs over an operand rename table, and three triggering conditions
-select instructions for removal:
+graphs (R-DFGs) over an operand rename table, and three triggering
+conditions select instructions for removal:
 
 * unreferenced writes (WW),
 * non-modifying writes (SV),
@@ -26,36 +26,75 @@ that future instances of the trace behave identically.
 the paper's branch-only removal experiment (Figure 8, bottom), where
 ineffectual writes are not candidates and propagation flows only from
 branches.
+
+Data layout
+-----------
+
+This loop runs once per retired R-stream instruction, so it allocates
+no object per instruction.  Each scoped trace holds its R-DFG as
+parallel lists indexed by the instruction's position in the trace
+(:class:`_ScopedTrace`): ``kind`` (plain-int :class:`RemovalKind`
+flags, 0 = unselected), ``killed``, ``external_ref``, ``removable``,
+and ``producers``/``consumers`` index lists that exist only for nodes
+with an edge.  Edges connect a consumer to its producer *within the
+same trace only*; reading a value produced in another trace marks that
+producer ``external_ref``, which disqualifies it from back-propagation.
+
+The operand rename table is a dict from operand to a mutable entry
+``[value, owner, index, ref, last_write_seq]``: the value last written,
+the producer's trace and position, whether the value has been read
+since, and the trace of the most recent write *including non-modifying
+writes*.  An entry is dropped only when that last writer leaves the
+scope, so a location kept fresh by silent writes stays tracked (its
+live producer may be older than the scope — selection decisions for
+that producer have already been emitted, which is exactly the paper's
+scope limitation).  A non-modifying write leaves the old producer live;
+any other write kills the old producer and takes the entry over.
+
+Flags stay plain ints until retirement, where a 16-entry table turns
+them into :class:`RemovalKind` values.  The static operand data of each
+PC (sources without ``r0``, load, store, BR selection, removability)
+is computed once per detector.  The object-graph formulation this
+layout replaces is kept as the test oracle in
+``tests/reference_ir_detector.py``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, FrozenSet, Iterable, List, Tuple
+from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.core.rdfg import RDFGNode, kill, select
 from repro.core.removal import RemovalKind
-from repro.core.rename_table import Entry, OperandRenameTable
-from repro.isa.instructions import InstrClass
+from repro.isa.instructions import InstrClass, Instruction
 from repro.trace.selection import CompletedTrace
 from repro.trace.trace_id import TraceId
 
 DEFAULT_SCOPE_TRACES = 8
 ALL_TRIGGERS = frozenset({"BR", "WW", "SV"})
 
-#: The rename table accepts any hashable operand key.  The detector
-#: encodes operands as ints — register number for registers, address
-#: offset past 2^32 for memory — instead of ``("r", n)``/``("m", a)``
-#: tuples: int keys allocate nothing for registers and hash in one
-#: operation, and this loop touches every retired instruction's
-#: operands.  Addresses are < 2^32 (wrap32), so the spaces are disjoint.
+#: Operands are ints: the register number for registers, the address
+#: offset past 2^32 for memory.  Addresses are < 2^32 (wrap32), so the
+#: two spaces are disjoint, and int keys hash in one operation.
 _MEM_BASE = 1 << 32
 
 #: Instruction classes that must never be removed: indirect jumps steer
 #: control through dynamic targets, OUT is architectural program output,
 #: HALT terminates the program.
 _NEVER_REMOVABLE = (InstrClass.JUMP_INDIRECT, InstrClass.OUT, InstrClass.HALT)
+
+_BR = int(RemovalKind.BR)
+_WW = int(RemovalKind.WW)
+_SV = int(RemovalKind.SV)
+_PROPAGATED = int(RemovalKind.PROPAGATED)
+_BASE_FLAGS = _BR | _WW | _SV
+
+#: Plain-int flags -> :class:`RemovalKind`, for every flag combination.
+_KIND_OF: Tuple[RemovalKind, ...] = tuple(RemovalKind(v) for v in range(16))
+
+#: Per-PC static operand data: (instruction, sources without r0,
+#: is_load, is_store, BR-selected at merge, removable).
+_Operands = Tuple[Instruction, Tuple[int, ...], bool, bool, bool, bool]
 
 
 @dataclass
@@ -75,14 +114,60 @@ class TraceAnalysis:
 
 
 class _ScopedTrace:
-    __slots__ = ("seq", "trace_id", "nodes", "touched", "pcs")
+    """One trace in the scope: its R-DFG as parallel per-position lists."""
 
-    def __init__(self, seq: int, trace_id: TraceId, nodes: List[RDFGNode]):
+    __slots__ = ("seq", "trace_id", "pcs", "touched", "kind", "killed",
+                 "external_ref", "removable", "producers", "consumers")
+
+    def __init__(self, seq: int, trace_id: TraceId, n: int):
         self.seq = seq
         self.trace_id = trace_id
-        self.nodes = nodes
-        self.touched: List[int] = []
         self.pcs: List[int] = []
+        #: Operands this trace wrote (rename-table invalidation at retire).
+        self.touched: List[int] = []
+        self.kind: List[int] = [0] * n
+        self.killed: List[bool] = [False] * n
+        self.external_ref: List[bool] = [False] * n
+        self.removable: List[bool] = [True] * n
+        self.producers: List[Optional[List[int]]] = [None] * n
+        self.consumers: List[Optional[List[int]]] = [None] * n
+
+
+def _propagate(trace: _ScopedTrace, candidates: List[int]) -> None:
+    """Back-propagate selection within ``trace`` from ``candidates``.
+
+    A candidate is selected, with ``PROPAGATED`` plus the union of its
+    consumers' base flags, when it is unselected, killed, removable,
+    not externally referenced, and has at least one consumer, all
+    selected.  A new selection makes its producers candidates in turn.
+    The selected set and every kind are the same in any visiting order:
+    the conditions only ever become true during one cascade, and a
+    consumer's kind never changes once set.  ``candidates`` is consumed.
+    """
+    kind = trace.kind
+    killed = trace.killed
+    external_ref = trace.external_ref
+    removable = trace.removable
+    consumers = trace.consumers
+    producers = trace.producers
+    while candidates:
+        p = candidates.pop()
+        if kind[p] or not killed[p] or external_ref[p] or not removable[p]:
+            continue
+        cons = consumers[p]
+        if cons is None:
+            continue
+        inherited = 0
+        for c in cons:
+            k = kind[c]
+            if not k:
+                break
+            inherited |= k
+        else:
+            kind[p] = _PROPAGATED | (inherited & _BASE_FLAGS)
+            prods = producers[p]
+            if prods is not None:
+                candidates.extend(prods)
 
 
 class IRDetector:
@@ -100,17 +185,29 @@ class IRDetector:
         unknown = self.triggers - ALL_TRIGGERS
         if unknown:
             raise ValueError(f"unknown triggers: {sorted(unknown)}")
-        self._table = OperandRenameTable()
+        #: Operand rename table: operand -> [value, owner, index, ref,
+        #: last_write_seq] (see the module docstring).
+        self._entries: Dict[int, list] = {}
+        self._operands: Dict[int, _Operands] = {}
         self._scope: Deque[_ScopedTrace] = deque()
         self._next_seq = 0
         #: Observability tallies (:mod:`repro.obs`): retired analyses
         #: and total instructions they selected for removal.
         self.analyses = 0
         self.selected_total = 0
-        # Trigger membership hoisted out of the per-instruction path.
         self._br_trigger = "BR" in self.triggers
         self._ww_trigger = "WW" in self.triggers
         self._sv_trigger = "SV" in self.triggers
+
+    def _operands_of(self, pc: int, instr: Instruction) -> _Operands:
+        """Static operand data of ``pc``, memoized per detector."""
+        removable = instr.klass not in _NEVER_REMOVABLE
+        operands = (instr, tuple(reg for reg in instr.srcs if reg),
+                    instr.is_load, instr.is_store,
+                    self._br_trigger and instr.is_branch and removable,
+                    removable)
+        self._operands[pc] = operands
+        return operands
 
     # ------------------------------------------------------------------
 
@@ -118,93 +215,125 @@ class IRDetector:
         """Merge one retired trace; returns analyses of traces that left
         the scope as a result (usually zero or one).
 
-        The per-instruction merge logic (formerly ``_merge``/``_write``
-        helpers) is inlined with hoisted locals: this loop runs once per
-        retired R-stream instruction and dominated the detector's
-        profile as method calls.
+        The rename-table protocol, the triggers and the kill handling
+        are inlined over hoisted locals: this loop runs once per retired
+        R-stream instruction.
         """
         seq = self._next_seq
         self._next_seq += 1
-        scoped = _ScopedTrace(seq, trace.trace_id, [])
-        self._scope.append(scoped)
-        nodes_append = scoped.nodes.append
-        pcs_append = scoped.pcs.append
-        touched_append = scoped.touched.append
-        # The rename-table read/write protocol is inlined against the
-        # entry dict (same semantics as OperandRenameTable.read/write,
-        # which documents it): per-operand method calls and
-        # WriteOutcome allocations dominated this loop's profile.
-        entries = self._table._entries
+        instructions = trace.instructions
+        cur = _ScopedTrace(seq, trace.trace_id, len(instructions))
+        self._scope.append(cur)
+        pcs_append = cur.pcs.append
+        touched_append = cur.touched.append
+        kind = cur.kind
+        killed = cur.killed
+        removable = cur.removable
+        producers = cur.producers
+        consumers = cur.consumers
+        entries = self._entries
         entries_get = entries.get
-        entry_cls = Entry
-        br_trigger = self._br_trigger
+        operands_get = self._operands.get
         ww_trigger = self._ww_trigger
         sv_trigger = self._sv_trigger
-        node_cls = RDFGNode
-        never = _NEVER_REMOVABLE
-        br_kind = RemovalKind.BR
-        sv_kind = RemovalKind.SV
         mem_base = _MEM_BASE
-        index = 0
-        for dyn in trace.instructions:
+        propagate = _propagate
+        for i, dyn in enumerate(instructions):
+            pc = dyn.pc
+            pcs_append(pc)
             instr = dyn.instr
-            node = node_cls(seq, index, removable=instr.klass not in never)
-            index += 1
-            nodes_append(node)
-            pcs_append(dyn.pc)
+            ops = operands_get(pc)
+            if ops is None or ops[0] is not instr:
+                ops = self._operands_of(pc, instr)
+            _instr, srcs, is_load, is_store, br_select, can_remove = ops
+            if not can_remove:
+                removable[i] = False
             mem_addr = dyn.mem_addr
-            # Source operands: establish producer connections and ref
-            # bits (``connect`` inlined: same-trace edges only, else an
-            # external reference disqualifying back-propagation).
-            for reg in instr.srcs:
-                if reg:
-                    entry = entries_get(reg)
-                    if entry is not None:
-                        entry.ref = True
-                        producer = entry.producer
-                        if producer.trace_seq == seq:
-                            producer.consumers.append(node)
-                            node.producers.append(producer)
-                        else:
-                            producer.external_ref = True
-            if instr.is_load and mem_addr is not None:
-                entry = entries_get(mem_addr + mem_base)
+            if is_load and mem_addr is not None:
+                srcs = srcs + (mem_addr + mem_base,)
+
+            # Source operands: set ref bits and connect same-trace
+            # producers; a producer in another trace becomes externally
+            # referenced instead.
+            prods = None
+            for operand in srcs:
+                entry = entries_get(operand)
                 if entry is not None:
-                    entry.ref = True
-                    producer = entry.producer
-                    if producer.trace_seq == seq:
-                        producer.consumers.append(node)
-                        node.producers.append(producer)
+                    entry[3] = True
+                    if entry[1] is cur:
+                        p = entry[2]
+                        cons = consumers[p]
+                        if cons is None:
+                            consumers[p] = [i]
+                        else:
+                            cons.append(i)
+                        if prods is None:
+                            prods = [p]
+                        else:
+                            prods.append(p)
                     else:
-                        producer.external_ref = True
+                        entry[1].external_ref[entry[2]] = True
+            if prods is not None:
+                producers[i] = prods
 
             # Trigger: branch instructions are always selected at merge.
-            if br_trigger and instr.is_branch:
-                select(node, br_kind)
+            if br_select:
+                kind[i] = _BR
+                if prods is not None:
+                    # Only a killed producer can propagate.
+                    for p in prods:
+                        if killed[p]:
+                            propagate(cur, prods[:])
+                            break
 
             # Destination operand: SV/WW detection and value kills.
-            if instr.is_store and mem_addr is not None:
+            value = dyn.value
+            if is_store and mem_addr is not None:
                 operand = mem_addr + mem_base
-            elif dyn.dest_reg is not None and dyn.value is not None:
+            elif dyn.dest_reg is not None and value is not None:
                 operand = dyn.dest_reg
             else:
                 continue
-            value = dyn.value
             entry = entries_get(operand)
-            if entry is not None:
-                if sv_trigger and entry.value == value:
-                    # Non-modifying write: select; the old producer
-                    # remains the live producer of the location (but the
-                    # write refreshes the entry's scope lifetime).
-                    entry.last_write_seq = seq
-                    select(node, sv_kind)
-                else:
-                    killed = entry.producer
-                    unreferenced = not entry.ref
-                    entries[operand] = entry_cls(value, node)
-                    kill(killed, unreferenced and ww_trigger)
+            if entry is None:
+                entries[operand] = [value, cur, i, False, seq]
+            elif sv_trigger and entry[0] == value:
+                # Non-modifying write: select it; the old producer stays
+                # live, but the write refreshes the entry's lifetime.
+                entry[4] = seq
+                if can_remove and not kind[i]:
+                    kind[i] = _SV
+                    if prods is not None:
+                        for p in prods:
+                            if killed[p]:
+                                propagate(cur, prods[:])
+                                break
             else:
-                entries[operand] = entry_cls(value, node)
+                # Kill the old producer, possibly in an older trace of
+                # the scope; the write takes the entry over.
+                owner = entry[1]
+                p = entry[2]
+                unreferenced = not entry[3]
+                entry[0] = value
+                entry[1] = cur
+                entry[2] = i
+                entry[3] = False
+                entry[4] = seq
+                owner_kind = owner.kind
+                if not owner_kind[p]:
+                    owner.killed[p] = True
+                    if unreferenced and ww_trigger:
+                        if owner.removable[p]:
+                            owner_kind[p] = _WW
+                            owner_prods = owner.producers[p]
+                            if owner_prods is not None:
+                                propagate(owner, owner_prods[:])
+                    else:
+                        # An unselected latest consumer already rules
+                        # propagation out.
+                        cons = owner.consumers[p]
+                        if cons is not None and owner_kind[cons[-1]]:
+                            propagate(owner, [p])
             touched_append(operand)
         retired: List[TraceAnalysis] = []
         while len(self._scope) > self.scope_traces:
@@ -222,13 +351,19 @@ class IRDetector:
 
     def _retire_oldest(self) -> TraceAnalysis:
         scoped = self._scope.popleft()
+        seq = scoped.seq
+        entries = self._entries
+        entries_get = entries.get
         for operand in scoped.touched:
-            self._table.invalidate_if_stale(operand, scoped.seq)
-        ir_vec = tuple(n.selected for n in scoped.nodes)
-        kinds = tuple(n.kind for n in scoped.nodes)
+            entry = entries_get(operand)
+            if entry is not None and entry[4] == seq:
+                del entries[operand]
+        kind = scoped.kind
+        selected = len(kind) - kind.count(0)
         self.analyses += 1
-        self.selected_total += sum(ir_vec)
-        return TraceAnalysis(scoped.seq, scoped.trace_id, ir_vec, kinds,
+        self.selected_total += selected
+        return TraceAnalysis(seq, scoped.trace_id, tuple(map(bool, kind)),
+                             tuple(map(_KIND_OF.__getitem__, kind)),
                              tuple(scoped.pcs))
 
     def snapshot(self) -> dict:

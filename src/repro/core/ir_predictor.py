@@ -129,22 +129,25 @@ class IRPredictor:
         if not self._pending:
             return
         tid, correlated, simple = self._pending.popleft()
-        if tid != analysis.trace_id:
+        # Identity first: the queued id is usually the analysed object
+        # itself, and the dataclass ``__eq__`` is comparatively slow.
+        if tid is not analysis.trace_id and tid != analysis.trace_id:
             # Should not happen (FIFO alignment); drop defensively.
             return
         for entry in (correlated, simple):
             self._train_entry(entry, analysis)
 
     def _train_entry(self, entry: Entry, analysis: TraceAnalysis) -> None:
+        tid = analysis.trace_id
         if (
-            entry.removal_tid == analysis.trace_id
+            (entry.removal_tid is tid or entry.removal_tid == tid)
             and entry.ir_vec == analysis.ir_vec
         ):
             entry.confidence += 1
             return
         if entry.ir_vec is not None:
             self.confidence_resets += 1
-        entry.removal_tid = analysis.trace_id
+        entry.removal_tid = tid
         entry.ir_vec = analysis.ir_vec
         entry.kinds = analysis.kinds
         entry.confidence = 0

@@ -1405,7 +1405,13 @@ class SlipstreamProcessor:
         # Feed the IR-detector with what the R-stream actually retired,
         # train the IR-predictor, and verify outstanding ir-vecs.
         if executed:
-            actual_tid = trace_id_of(executed)
+            if deviation is None and len(executed) == len(record.steps):
+                # Every followed step retired with no PC, value or
+                # removed-branch mismatch, so the retired path is the
+                # followed one: same start PC, same branch outcomes.
+                actual_tid = record.followed_tid
+            else:
+                actual_tid = trace_id_of(executed)
             self.ir_predictor.update_path(actual_tid)
             if record.applied_removal and deviation is None:
                 # Hint-removed instructions are exempt from the ir-vec

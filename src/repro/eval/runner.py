@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import os
 import time
+import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass, field
@@ -210,6 +211,15 @@ class ExperimentRunner:
                  backend: Union[str, WorkerBackend, None] = None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        cpus = os.cpu_count() or 1
+        if jobs > cpus:
+            # Shown once per call site (the warnings module's default
+            # action), on stderr.
+            warnings.warn(
+                f"jobs={jobs} exceeds os.cpu_count()={cpus}: the workers "
+                f"time-share {cpus} CPU(s), so this pass cannot beat "
+                f"jobs={cpus} and may run slower than sequential",
+                RuntimeWarning, stacklevel=2)
         self.jobs = jobs
         self.use_disk_cache = use_disk_cache
         self.policy = policy if policy is not None else RetryPolicy()

@@ -181,6 +181,45 @@ class TestBackPropagation:
         assert analyses[0].ir_vec[0]
         assert analyses[0].kinds[0] == RemovalKind.WW
 
+    def test_cross_trace_kill_propagates_in_older_trace(self):
+        # Trace 1 (length 4) holds a two-instruction chain feeding a
+        # selected branch.  Trace 2 kills r2, whose producer sits in
+        # trace 1: the kill propagates there and cascades to r1's
+        # producer (killed earlier, inside trace 1).
+        source = (
+            "addi r1, r0, 1\n"        # trace 1
+            "add r2, r1, r1\n"
+            "beq r2, r0, next\n"
+            "next: addi r1, r0, 7\n"  # kills r1: its consumer is unselected
+            "addi r2, r0, 9\n"        # trace 2 kills r2 in trace 1
+            "out r1\nout r2\nhalt"
+        )
+        _, analyses = analyses_of(source, trace_length=4)
+        first = analyses[0]
+        p_br = RemovalKind.PROPAGATED | RemovalKind.BR
+        assert first.ir_vec[:3] == (True, True, True)
+        assert first.kinds[:3] == (p_br, p_br, RemovalKind.BR)
+        assert not first.ir_vec[3]
+
+    def test_silent_write_keeps_older_producer_live(self):
+        # The second write of 7 into r2 is SV: the rename table keeps
+        # the first write as r2's producer, so the branch links to it,
+        # and the later kill propagates P: BR to it (were the branch
+        # linked to the SV write instead, the first write would have
+        # been killed unreferenced: WW).
+        source = (
+            "addi r2, r0, 7\n"
+            "addi r2, r0, 7\n"        # SV
+            "beq r2, r0, next\n"
+            "next: addi r2, r0, 1\n"  # kills the first write
+            "out r2\nhalt"
+        )
+        _, analyses = analyses_of(source)
+        kinds = analyses[0].kinds
+        assert kinds[0] == RemovalKind.PROPAGATED | RemovalKind.BR
+        assert kinds[1] == RemovalKind.SV
+        assert kinds[2] == RemovalKind.BR
+
     def test_kill_outside_scope_does_not_select(self):
         # With a scope of 1 trace, the killing write arrives after the
         # victim's trace has retired: no WW selection.

@@ -1,9 +1,9 @@
-"""Unit tests for removal-kind taxonomy and the rename table."""
+"""Unit tests for removal-kind taxonomy and the reference rename table."""
 
 import pytest
 
 from repro.core.removal import CATEGORIES, RemovalKind, removal_category
-from repro.core.rename_table import OperandRenameTable
+from tests.reference_ir_detector import OperandRenameTable
 
 
 class TestRemovalCategory:

@@ -2,6 +2,9 @@
 warm-cache runs performing zero simulations, and failure handling (one
 bad job must not lose the pass)."""
 
+import os
+import warnings
+
 import pytest
 
 from repro.eval import jobs, models
@@ -330,3 +333,17 @@ class TestSchedulingOverhaul:
         assert oracle.estimate(other) != 5.0
         oracle.save()
         assert DurationOracle(oracle.path).estimate(tweaked) == 5.0
+
+
+class TestOversubscription:
+    def test_warns_when_jobs_exceed_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        with pytest.warns(RuntimeWarning, match=r"jobs=2 exceeds os.cpu_count\(\)=1"):
+            ExperimentRunner(jobs=2)
+
+    def test_silent_within_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ExperimentRunner(jobs=4)
+            ExperimentRunner(jobs=1)

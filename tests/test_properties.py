@@ -3,10 +3,10 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.delay_buffer import DelayBuffer
-from repro.core.rdfg import RDFGNode, connect, kill, select, try_propagate
 from repro.core.removal import RemovalKind
 from repro.uarch.config import CoreConfig
 from repro.uarch.scheduler import InstrTiming, OoOScheduler
+from tests.reference_ir_detector import RDFGNode, connect, kill, select, try_propagate
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +123,8 @@ class TestDelayBufferProperties:
 
 
 # ----------------------------------------------------------------------
-# R-DFG invariants.
+# R-DFG invariants (reference object-graph R-DFG; the fast detector is
+# checked against it in tests/test_ir_detector_reference.py).
 # ----------------------------------------------------------------------
 
 def _chain(n, trace_seq=0):
