@@ -65,17 +65,22 @@ class Memory:
         self.writes: Dict[int, int] = {}
 
     def read(self, addr: int) -> int:
-        self._check(addr)
-        if addr in self.writes:
-            return self.writes[addr]
-        return self.image.get(addr, 0)
+        if addr & 3 or addr < 0:
+            self._check(addr)
+        value = self.writes.get(addr)  # stored values are ints, never None
+        if value is None:
+            return self.image.get(addr, 0)
+        return value
 
     def write(self, addr: int, value: int) -> None:
-        self._check(addr)
+        if addr & 3 or addr < 0:
+            self._check(addr)
         self.writes[addr] = value
 
     @staticmethod
     def _check(addr: int) -> None:
+        """Raise for a bad address; callers test ``addr & 3 or addr < 0``
+        first (same truthiness as ``addr % 4`` for every int)."""
         if addr % 4:
             raise ValueError(f"unaligned memory access at {addr:#x}")
         if addr < 0:

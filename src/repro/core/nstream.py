@@ -33,13 +33,25 @@ Both engines accept the same ``fault_hook`` protocol as
 :class:`repro.core.slipstream.SlipstreamProcessor` (the hook is only
 ever offered stream label ``"R"``, on the first/primary stream — the
 campaign's single-fault model strikes one replica).
+
+Both also take the same ``engine`` argument as ``SlipstreamProcessor``
+(resolved by :func:`repro.arch.compiled.resolve_engine`, so
+``REPRO_COMPILED=0`` opts out): on the default compiled engine every
+replica, primary and replay step dispatches to the program's record
+closure for its PC, and a PC with no closure (a wild PC after a struck
+jump) falls back to ``execute_one``, which raises the interpreter's
+error — how a replica traps.  The interpreter is the same loop with an
+empty closure map.  When all TMR signatures agree (every retirement of
+a clean run), the voter takes stream 0 without building a tally; any
+disagreement or trap goes through the full majority count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
+from repro.arch.compiled import StepFn, compiled_for, resolve_engine
 from repro.arch.executor import DynInstr, ExecutionError, execute_one
 from repro.arch.state import ArchState
 from repro.core.recovery import RecoveryCost
@@ -93,6 +105,16 @@ def _signature(dyn: DynInstr) -> tuple:
     return (dyn.value, dyn.mem_addr, dyn.taken, dyn.next_pc, dyn.output)
 
 
+def _step_lookup(
+    program: Program, engine: str
+) -> Callable[[int], Optional[StepFn]]:
+    """PC -> record closure, or None where ``execute_one`` must run
+    (every PC on the interpreter; wild PCs on the compiled engine)."""
+    if engine == "compiled":
+        return compiled_for(program).step_funcs.get
+    return {}.get
+
+
 def _repair_state(broken: ArchState, good: ArchState) -> int:
     """Overwrite ``broken`` from ``good``; returns the number of
     differing memory words (the repair's memory-restore cost)."""
@@ -122,6 +144,7 @@ class TMRProcessor:
         fault_hook: Optional[FaultHook] = None,
         base_cycles: Optional[int] = None,
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
+        engine: Optional[str] = None,
     ):
         if n_streams < 3 or n_streams % 2 == 0:
             raise ValueError("TMR needs an odd stream count of at least 3")
@@ -130,12 +153,16 @@ class TMRProcessor:
         self.fault_hook = fault_hook
         self.base_cycles = base_cycles
         self.max_instructions = max_instructions
+        #: "compiled" | "interpreted"; bit-identical, so never a config knob.
+        self.engine = resolve_engine(engine)
 
     def run(self) -> NStreamResult:
         program = self.program
         hook = self.fault_hook
-        majority_needed = self.n_streams // 2 + 1
-        states = [ArchState(image=program.data) for _ in range(self.n_streams)]
+        n_streams = self.n_streams
+        majority_needed = n_streams // 2 + 1
+        step_get = _step_lookup(program, self.engine)
+        states = [ArchState(image=program.data) for _ in range(n_streams)]
         pc = program.entry
         retired = 0
         detections = 0
@@ -148,10 +175,14 @@ class TMRProcessor:
                 raise SimulationError(
                     f"TMR run exceeded {self.max_instructions} instructions"
                 )
+            step = step_get(pc)
             signatures: List[tuple] = []
             for index, state in enumerate(states):
                 try:
-                    dyn = execute_one(program, state, pc, seq=retired)
+                    if step is not None:
+                        dyn = step(state, retired)
+                    else:
+                        dyn = execute_one(program, state, pc, seq=retired)
                 except (ExecutionError, ValueError, IndexError):
                     signatures.append(_TRAP)
                     continue
@@ -161,27 +192,32 @@ class TMRProcessor:
                     # (compared=True) before retirement commits.
                     dyn = hook("R", dyn, state, True)
                 signatures.append(_signature(dyn))
-            tally: dict = {}
-            for sig in signatures:
-                tally[sig] = tally.get(sig, 0) + 1
-            voted_sig, votes = max(tally.items(), key=lambda item: item[1])
-            if votes < majority_needed or voted_sig is _TRAP:
-                raise SimulationError(
-                    f"no majority among {self.n_streams} streams at pc {pc:#x}"
-                )
-            voted_index = signatures.index(voted_sig)
-            voted_state = states[voted_index]
+            voted_sig = signatures[0]
             retired += 1
-            minority = [
-                i for i, sig in enumerate(signatures) if sig != voted_sig
-            ]
-            if minority:
+            if voted_sig is not _TRAP \
+                    and signatures.count(voted_sig) == n_streams:
+                # Unanimous: stream 0 wins and nothing needs repair.
+                voted_state = states[0]
+            else:
+                tally: dict = {}
+                for sig in signatures:
+                    tally[sig] = tally.get(sig, 0) + 1
+                voted_sig, votes = max(tally.items(), key=lambda item: item[1])
+                if votes < majority_needed or voted_sig is _TRAP:
+                    raise SimulationError(
+                        f"no majority among {n_streams} streams at pc {pc:#x}"
+                    )
+                voted_state = states[signatures.index(voted_sig)]
+                # Not unanimous, so the minority is never empty.
                 detections += 1
-                for index in minority:
-                    differing = _repair_state(states[index], voted_state)
-                    latency = RecoveryCost(memory_locations=differing).latency
-                    recoveries.append((retired, latency))
-                    extra_cycles += latency
+                for index, sig in enumerate(signatures):
+                    if sig != voted_sig:
+                        differing = _repair_state(states[index], voted_state)
+                        latency = RecoveryCost(
+                            memory_locations=differing
+                        ).latency
+                        recoveries.append((retired, latency))
+                        extra_cycles += latency
             if voted_sig[4] is not None:
                 output.append(voted_sig[4])
             pc = voted_sig[3]
@@ -220,6 +256,7 @@ class ReplayWindowProcessor:
         fault_hook: Optional[FaultHook] = None,
         base_cycles: Optional[int] = None,
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
+        engine: Optional[str] = None,
     ):
         if window_len < 1:
             raise ValueError("window_len must be positive")
@@ -231,10 +268,13 @@ class ReplayWindowProcessor:
         self.fault_hook = fault_hook
         self.base_cycles = base_cycles
         self.max_instructions = max_instructions
+        #: "compiled" | "interpreted"; bit-identical, so never a config knob.
+        self.engine = resolve_engine(engine)
 
     def run(self) -> NStreamResult:
         program = self.program
         hook = self.fault_hook
+        step_get = _step_lookup(program, self.engine)
         primary = ArchState(image=program.data)
         shadow = primary.fork()
         pc = program.entry
@@ -258,7 +298,11 @@ class ReplayWindowProcessor:
                         "instructions"
                     )
                 try:
-                    dyn = execute_one(program, primary, pc, seq=seq)
+                    step = step_get(pc)
+                    if step is not None:
+                        dyn = step(primary, seq)
+                    else:
+                        dyn = execute_one(program, primary, pc, seq=seq)
                 except (ExecutionError, ValueError, IndexError):
                     trapped = True
                     break
@@ -284,7 +328,7 @@ class ReplayWindowProcessor:
             if replay_this:
                 replayed_windows += 1
                 rstate, rpc, mismatch, executed = self._replay(
-                    recorded, window_start_pc, shadow
+                    recorded, window_start_pc, shadow, step_get
                 )
                 replayed_instructions += executed
                 if mismatch or trapped:
@@ -322,6 +366,7 @@ class ReplayWindowProcessor:
         recorded: List[DynInstr],
         start_pc: int,
         shadow: ArchState,
+        step_get: Callable[[int], Optional[StepFn]],
     ) -> Tuple[ArchState, int, bool, int]:
         """Re-execute one window from the shadow context.
 
@@ -338,7 +383,11 @@ class ReplayWindowProcessor:
             if rstate.halted:
                 break
             try:
-                rdyn = execute_one(self.program, rstate, rpc, seq=dyn.seq)
+                step = step_get(rpc)
+                if step is not None:
+                    rdyn = step(rstate, dyn.seq)
+                else:
+                    rdyn = execute_one(self.program, rstate, rpc, seq=dyn.seq)
             except (ExecutionError, ValueError, IndexError):
                 # The clean context cannot trap on a clean program; a
                 # trap here means the recording led us astray.

@@ -65,6 +65,8 @@ class FaultSite(enum.Enum):
     CORRELATED = "correlated"
 
 
+_CORRELATED = FaultSite.CORRELATED
+
 #: Logical-bit rotation the decorrelated layout applies between the two
 #: contexts: the physical location that holds bit ``b`` of a value in
 #: the A-stream's context holds bit ``(b + 13) % 32`` of the same value
@@ -146,15 +148,18 @@ class FaultInjector:
         self, stream: str, dyn: DynInstr, state: ArchState, compared: bool
     ) -> DynInstr:
         fault = self.fault
-        if fault.site is FaultSite.CORRELATED:
+        # The hook runs on every retirement and strikes at most one: the
+        # seq test comes first.  Every non-CORRELATED early return below
+        # hands back ``dyn`` untouched, so testing it first is exact.
+        if dyn.seq != fault.target_seq and fault.site is not _CORRELATED:
+            return dyn
+        if fault.site is _CORRELATED:
             return self._correlated(stream, dyn, state, compared)
         if self.report.fired:
             return dyn
         if fault.site is FaultSite.A_RESULT and stream != "A":
             return dyn
         if fault.site in (FaultSite.R_TRANSIENT, FaultSite.R_ARCH) and stream != "R":
-            return dyn
-        if dyn.seq != fault.target_seq:
             return dyn
         if dyn.value is None:
             # The targeted instruction produces no value (branch, nop);

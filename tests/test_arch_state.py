@@ -71,6 +71,24 @@ class TestMemory:
         with pytest.raises(ValueError):
             Memory().write(0x102, 1)
 
+    @pytest.mark.parametrize("addr,message", [
+        (0x101, "unaligned memory access"),
+        (0x103, "unaligned memory access"),
+        (-8, "negative memory address"),
+        # Both faults: alignment is reported first.
+        (-7, "unaligned memory access"),
+        (-2, "unaligned memory access"),
+    ])
+    def test_bad_address_messages_and_no_state_change(self, addr, message):
+        mem = Memory(image={0x100: 7})
+        mem.write(0x200, 1)
+        with pytest.raises(ValueError, match=message):
+            mem.read(addr)
+        with pytest.raises(ValueError, match=message):
+            mem.write(addr, 9)
+        assert mem.writes == {0x200: 1}
+        assert mem.image == {0x100: 7}
+
     def test_differing_addresses(self):
         base = Memory(image={0x100: 1})
         a, b = base.fork(), base.fork()

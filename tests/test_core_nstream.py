@@ -4,9 +4,13 @@ involvement; the replay-window detector catches strikes in replayed
 windows and lets un-scrubbed windows escape; decorrelated contexts turn
 layout-correlated silent agreement into detection."""
 
+import dataclasses
+
 import pytest
 
+import repro.core.nstream as nstream
 from repro.arch.functional import FunctionalSimulator
+from repro.arch.state import ArchState
 from repro.core.modes import (
     CAMPAIGN_MODES,
     ModeError,
@@ -23,7 +27,8 @@ from repro.core.nstream import (
     ReplayWindowProcessor,
     TMRProcessor,
 )
-from repro.core.recovery import MIN_RECOVERY_LATENCY
+from repro.core.recovery import MIN_RECOVERY_LATENCY, RecoveryCost
+from repro.core.slipstream import SimulationError
 from repro.fault.coverage import (
     HANDLED_OUTCOMES,
     HARMFUL_OUTCOMES,
@@ -148,6 +153,99 @@ class TestTMRVoting:
                                bit=3)
         result = inject_one_nstream(program(), fault, "tmr", n_streams=5)
         assert result.outcome is FaultOutcome.MASKED_BY_VOTE
+
+
+class TestVoteEdges:
+    """The unanimous-vote fast path must leave every non-unanimous
+    retirement to the full majority count, on both engines."""
+
+    #: A store then a load of the stored word: an architectural strike
+    #: on the store corrupts one replica's memory, which the load
+    #: exposes one retirement later.
+    STORE_LOAD = """
+    main:
+        addi r1, r0, 5
+        addi r2, r0, 256
+        sw   r1, 0(r2)
+        lw   r3, 0(r2)
+        out  r3
+        halt
+    """
+
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+    @pytest.mark.parametrize("source,pc", [
+        # A clean program's jump to a misaligned PC: no closure exists,
+        # so every replica traps in the execute_one fallback.
+        ("main:\n addi r1, r0, 2\n jalr r0, r1\n halt\n", 0x2),
+        # An unaligned load traps inside every replica's closure.
+        ("main:\n lw r2, 1(r0)\n halt\n", 0x1000),
+    ], ids=["wild-pc", "unaligned-load"])
+    def test_every_replica_trapping_has_no_majority(self, engine, source, pc):
+        tmr = TMRProcessor(assemble(source, name="trap-all"), engine=engine)
+        with pytest.raises(SimulationError,
+                           match=f"no majority among 3 streams at pc {pc:#x}"):
+            tmr.run()
+
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+    def test_two_of_three_repairs_the_minority(self, engine):
+        injector = FaultInjector(
+            TransientFault(FaultSite.R_ARCH, target_seq=2, bit=3)
+        )
+        result = TMRProcessor(
+            assemble(self.STORE_LOAD, name="store-load"),
+            fault_hook=injector, engine=engine,
+        ).run()
+        assert injector.report.fired
+        assert result.output == [5]
+        assert result.detections == 1
+        # Caught at the load (retirement 4); the repair restores the
+        # one differing memory word plus the register file.
+        latency = RecoveryCost(memory_locations=1).latency
+        assert latency > MIN_RECOVERY_LATENCY
+        assert result.recoveries == [(4, latency)]
+        assert result.cycles == result.retired + latency
+
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+    def test_minority_off_stream_zero_is_repaired(self, monkeypatch, engine):
+        """Stream 0 in the majority is no reason to skip the count:
+        replica 1 starts with one wrong memory word, is outvoted at the
+        load that reads it, and is repaired."""
+        made = []
+
+        def replica(image=None):
+            state = ArchState(image=image)
+            made.append(state)
+            if len(made) == 2:
+                state.mem.write(256, 99)
+            return state
+
+        monkeypatch.setattr(nstream, "ArchState", replica)
+        source = "main:\n lw r3, 256(r0)\n out r3\n halt\n"
+        result = TMRProcessor(assemble(source, name="bad-replica"),
+                              engine=engine).run()
+        assert result.output == [0]
+        assert result.detections == 1
+        assert result.recoveries == [
+            (1, RecoveryCost(memory_locations=1).latency)
+        ]
+        assert made[1].mem.read(256) == 0
+
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+    def test_five_streams_count_each_disagreeing_retirement(self, engine):
+        struck = {11, 14, 20}  # three add retirements
+
+        def hook(stream, dyn, state, compared):
+            if dyn.seq in struck:
+                return dataclasses.replace(dyn, value=dyn.value ^ 8)
+            return dyn
+
+        result = TMRProcessor(program(), n_streams=5, fault_hook=hook,
+                              engine=engine).run()
+        assert result.output == reference().output
+        assert result.detections == len(struck)
+        assert result.recoveries == [
+            (seq + 1, MIN_RECOVERY_LATENCY) for seq in sorted(struck)
+        ]
 
 
 class TestReplayWindows:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.arch.functional import FunctionalSimulator
+from repro.arch.state import ArchState
 from repro.core.slipstream import SlipstreamConfig, SlipstreamProcessor
 from repro.fault.coverage import (
     FaultOutcome,
@@ -10,7 +11,12 @@ from repro.fault.coverage import (
     inject_one,
     run_campaign,
 )
-from repro.fault.injector import FaultInjector, FaultSite, TransientFault
+from repro.fault.injector import (
+    FaultInjector,
+    FaultReport,
+    FaultSite,
+    TransientFault,
+)
 from repro.fault.scenarios import SCENARIOS, find_target_seq, run_scenario
 from repro.isa.assembler import assemble
 
@@ -59,6 +65,48 @@ class TestTransientFault:
         SlipstreamProcessor(program, fault_hook=injector).run()
         assert injector.report.fired
         assert injector.report.corrupted_value != injector.report.original_value
+
+    @pytest.mark.parametrize("site", [
+        s for s in FaultSite if s is not FaultSite.CORRELATED
+    ], ids=lambda s: s.value)
+    def test_non_target_seq_is_a_no_op(self, program, site):
+        """The seq test comes first: off the target, every stream and
+        comparison flag gets the same ``dyn`` object back, and neither
+        the report nor the state changes."""
+        injector = FaultInjector(TransientFault(site, target_seq=5, bit=3))
+        before = injector.report
+        state = ArchState(image=program.data)
+        for dyn in FunctionalSimulator(program).steps(state):
+            if dyn.seq == 40:
+                break
+            if dyn.seq == 5:
+                continue
+            regs = list(state.regs.regs)
+            writes = dict(state.mem.writes)
+            for stream in ("A", "R"):
+                for compared in (True, False):
+                    assert injector(stream, dyn, state, compared) is dyn
+            assert injector.report is before
+            assert state.regs.regs == regs and state.mem.writes == writes
+        assert injector.report == FaultReport()
+
+    def test_correlated_site_sees_every_seq(self, program):
+        injector = FaultInjector(
+            TransientFault(FaultSite.CORRELATED, target_seq=5, bit=3)
+        )
+        seen = []
+
+        def correlated(stream, dyn, state, compared):
+            seen.append(dyn.seq)
+            return dyn
+
+        injector._correlated = correlated
+        state = ArchState(image=program.data)
+        for dyn in FunctionalSimulator(program).steps(state):
+            if dyn.seq == 12:
+                break
+            assert injector("R", dyn, state, True) is dyn
+        assert seen == list(range(12))
 
     def test_injector_does_not_fire_past_stream_end(self, program):
         injector = FaultInjector(
