@@ -11,14 +11,12 @@ end-to-end identity smoke on top of the dedicated test suite.
 
 **Timing section** (``--timing``) does the same A/B for the memoized
 timing model (:mod:`repro.uarch.compiled_timing`), toggled through
-``REPRO_COMPILED_TIMING``, on the superscalar baseline and the
-slipstream co-simulation, and additionally asserts that the recorded
-per-instruction pipeline :class:`~repro.uarch.scheduler.Timestamps`
-are identical under both modes.  The superscalar core — where the
-scalar path pays full per-instruction scheduler calls — gates strictly
-(memoized may never be slower); the slipstream loops were already
-hand-inlined, so there the memoized path only has to stay within a
-small documented noise margin.
+``REPRO_COMPILED_TIMING``, on the superscalar baseline (``ss64``), and
+additionally asserts that the recorded per-instruction pipeline
+:class:`~repro.uarch.scheduler.Timestamps` are identical under both
+modes.  The gate is strict: memoized may never be slower.  The
+slipstream co-simulation always schedules through its fused loops, so
+the flag does not change what it runs and it has no row here.
 
 **Serve section** (``--serve``) stress-tests the eval daemon
 (:mod:`repro.eval.serve`) with simulated many-client load: it
@@ -77,11 +75,6 @@ from repro.workloads.suite import get_benchmark
 
 BENCHMARK = "li"
 
-#: Noise margin for the slipstream timing gate: its scalar loops are
-#: hand-inlined, so the memoized path roughly ties there and a strict
-#: comparison would flap on shared runners.
-CMP_TIMING_TOLERANCE = 1.10
-
 
 def measure(program, engine: str, reps: int):
     """(min CPU seconds, result) over ``reps`` fresh co-simulations."""
@@ -138,8 +131,6 @@ def timing_main(args) -> int:
     runs = {
         "ss64": measure_timing(
             lambda: SuperscalarCore(SS_64x4, program), args.reps),
-        "cmp": measure_timing(
-            lambda: SlipstreamProcessor(program), args.reps),
     }
     stamps_ok = timestamps_identical()
     os.environ.pop(TIMING_ENV, None)
@@ -178,12 +169,6 @@ def timing_main(args) -> int:
     if models["ss64"]["speedup"] < 1.0:
         print("FAIL: memoized timing slower than scalar on the "
               "superscalar baseline", file=sys.stderr)
-        return 1
-    if models["cmp"]["memoized_cpu_seconds"] > (
-            models["cmp"]["scalar_cpu_seconds"] * CMP_TIMING_TOLERANCE):
-        print(f"FAIL: memoized timing more than "
-              f"{CMP_TIMING_TOLERANCE:.0%} of scalar on slipstream",
-              file=sys.stderr)
         return 1
     return 0
 

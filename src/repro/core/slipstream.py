@@ -62,7 +62,7 @@ from repro.core.pc_ir_predictor import PCIRPredictor, PCIRPredictorConfig
 from repro.core.recovery import RecoveryController
 from repro.core.removal import RemovalKind, removal_category
 from repro.isa.instructions import InstrClass, WORD
-from repro.isa.program import Program, TEXT_BASE
+from repro.isa.program import Program
 from repro.obs.session import Observability
 from repro.trace.predictor import TracePredictorConfig
 from repro.trace.selection import (
@@ -75,11 +75,7 @@ from repro.trace.selection import (
 )
 from repro.trace.trace_id import TraceId
 from repro.uarch.cache import Cache
-from repro.uarch.compiled_timing import (
-    TraceTimingEngine,
-    compiled_timing_enabled,
-    timing_meta_for,
-)
+from repro.uarch.compiled_timing import timing_meta_for
 from repro.uarch.config import CoreConfig, SS_64x4
 from repro.uarch.latencies import latency_of
 from repro.uarch.scheduler import OoOScheduler
@@ -337,22 +333,6 @@ class SlipstreamProcessor:
         self.r_icache = Cache(self.r_core.icache)
         self.r_dcache = Cache(self.r_core.dcache)
 
-        # Compiled-timing engines (repro.uarch.compiled_timing), one per
-        # stream.  Disabled under fault injection: a hook may rewrite
-        # dynamic records in ways the static trace plans must not assume
-        # away, and fault campaigns are not the hot path anyway.
-        self._timing_a: Optional[TraceTimingEngine] = None
-        self._timing_r: Optional[TraceTimingEngine] = None
-        if fault_hook is None and compiled_timing_enabled():
-            self._timing_a = TraceTimingEngine(
-                self.a_sched, self.a_icache, self.a_dcache,
-                self._sched_meta, self.a_core,
-            )
-            self._timing_r = TraceTimingEngine(
-                self.r_sched, self.r_icache, self.r_dcache,
-                self._sched_meta, self.r_core,
-            )
-
         # Architectural contexts: the OS instantiates the program twice.
         initial = ArchState(image=program.data)
         self.a_state = initial
@@ -587,7 +567,7 @@ class SlipstreamProcessor:
                              removed=removed, by_kind=by_kind)
 
         followed_tid = _trace_id_of_steps(steps, self.a_pc)
-        self._schedule_a_trace(steps, followed_tid)
+        self._schedule_a_trace(steps)
         record = _ATraceRecord(steps, followed_tid, applied, a_halted)
 
         # Advance the A-stream PC past the trace.
@@ -745,61 +725,17 @@ class SlipstreamProcessor:
         self.a_executed += a_executed
         return steps, halted
 
-    def _schedule_a_trace(self, steps: List[_FollowedStep],
-                          followed_tid: TraceId) -> None:
+    def _schedule_a_trace(self, steps: List[_FollowedStep]) -> None:
         """Schedule the A-stream's executed instructions with
         chunk-skipping fetch: blocks break at taken control transfers
         (executed or presumed) and at the fetch width, and continue
         across trace boundaries; removed instructions consume no fetch
         slots (the stored intermediate PCs let the front end skip the
-        removed chunks entirely, Figure 2)."""
-        engine = self._timing_a
-        if engine is not None:
-            # Compiled path: collect the executed substream and hand the
-            # whole trace to the memoizing engine.  The key pins the
-            # static schedule shape: the followed id plus step count
-            # walk a unique PC sequence, the mask says which steps
-            # executed (vs removed), and the misprediction index places
-            # the one possible in-trace redirect.
-            ex_steps: List[_FollowedStep] = []
-            dyns: List[DynInstr] = []
-            pre_breaks: List[bool] = []
-            mask = 0
-            bit = 1
-            misp_idx = -1
-            pending = False
-            for step in steps:
-                if step.executed:
-                    if step.mispredicted:
-                        misp_idx = len(dyns)
-                    mask |= bit
-                    pre_breaks.append(pending)
-                    pending = False
-                    ex_steps.append(step)
-                    dyns.append(step.dyn)
-                elif step.pred_taken and step.instr.is_control:
-                    # A presumed-taken removed transfer still ends the
-                    # fetch block (chunk-skipping fetch).
-                    pending = True
-                bit <<= 1
-            n = len(dyns)
-            if n:
-                key = (followed_tid, len(steps), mask, misp_idx)
-                last_complete, retires, count, block_pending, _nb = engine.schedule(
-                    key, dyns, n, self._a_block_count, self._a_block_pending,
-                    pre_breaks=pre_breaks, redirect_at=misp_idx,
-                    want_retires=True,
-                )
-                for i in range(n):
-                    ex_steps[i].a_retire = retires[i]
-                self._a_block_count = count
-                # Trailing removed-taken steps break the next block too.
-                self._a_block_pending = block_pending or pending
-                self._a_last_complete = last_complete
-                self._a_last_retire = retires[-1]
-            elif pending:
-                self._a_block_pending = True
-            return
+        removed chunks entirely, Figure 2).
+
+        This and :meth:`_r_phase` are the only slipstream timing paths;
+        ``tests/reference_slipstream_timing.py`` restates both through
+        ``Cache.probe`` and ``OoOScheduler.add_args`` as their oracle."""
         cfg = self.a_core
         icache_miss = cfg.icache.miss_penalty
         dcache_miss = cfg.dcache.miss_penalty
@@ -999,9 +935,6 @@ class SlipstreamProcessor:
     # ==================================================================
 
     def _r_phase(self, record: _ATraceRecord) -> None:
-        if self._timing_r is not None:
-            self._r_phase_compiled(record)
-            return
         available = record.available_cycle
         self.r_sched.stall_fetch_until(available)
 
@@ -1281,116 +1214,6 @@ class SlipstreamProcessor:
         rdc.misses += rdc_misses
         self._r_finish(record, executed, branch_ok, deviation, last_complete)
 
-    def _r_phase_compiled(self, record: _ATraceRecord) -> None:
-        """R-phase with the memoizing timing engine: one architectural
-        pass (execution, redundant-instruction comparison, recovery
-        tracking — none of which reads the timing model), then one
-        engine call for the whole trace's schedule.  Bit-identical to
-        the fused scalar loop in :meth:`_r_phase`: timing never feeds
-        back into architecture within a trace, and the deviation
-        detect-cycle is the last scheduled instruction's completion
-        either way."""
-        available = record.available_cycle
-        rsc = self.r_sched
-        rsc.stall_fetch_until(available)
-
-        executed: List[DynInstr] = []
-        branch_ok: List[bool] = []
-        dev_kind: Optional[str] = None
-        r_state = self.r_state
-        r_pc = self.r_pc
-        r_seq = self._r_seq
-        retired = self.retired
-        funcs = self._step_funcs
-        funcs_get = funcs.get if funcs is not None else None
-        program = self.program
-        sched_meta_get = self._sched_meta.get
-        transfer_latency = self.config.transfer_latency
-        recovery = self.recovery
-        detector_seq = self._detector_seq
-        executed_append = executed.append
-        branch_ok_append = branch_ok.append
-        overrides: List[Optional[int]] = []
-        overrides_append = overrides.append
-        mask = 0
-        bit = 1
-
-        for step in record.steps:
-            if r_state.halted:
-                break
-            if r_pc != step.pc:
-                # Control deviation the A-stream did not know about
-                # (removed mispredicted branch, or corrupt A context).
-                dev_kind = "control"
-                break
-            # Execute one architectural instruction (inlined _r_execute).
-            if funcs_get is not None and (f := funcs_get(r_pc)) is not None:
-                dyn = f(r_state, r_seq)
-            else:
-                dyn = execute_one(program, r_state, r_pc, seq=r_seq)
-            r_seq += 1
-            retired += 1
-            executed_append(dyn)
-            meta = sched_meta_get(dyn.pc)
-            if meta is None:
-                instr = dyn.instr
-                meta = (instr.srcs, latency_of(instr), instr.is_load,
-                        instr.is_store, instr.is_control, instr.is_branch)
-            is_store = meta[3]
-            is_branch = meta[5]
-            taken = dyn.taken
-            branch_ok_append(not is_branch or taken == step.pred_taken)
-            mem_addr = dyn.mem_addr
-            if step.executed:
-                mask |= bit
-                ov = step.a_retire + transfer_latency
-                overrides_append(ov if ov > available else available)
-                a_dyn = step.dyn
-                # Redundant-instruction comparison, inlined _mismatch.
-                if (a_dyn.value != dyn.value
-                        or a_dyn.mem_addr != mem_addr
-                        or a_dyn.taken != taken
-                        or a_dyn.next_pc != dyn.next_pc):
-                    dev_kind = "value"
-                    r_pc = dyn.next_pc
-                    break
-                if is_store and a_dyn.mem_addr is not None:
-                    recovery.untrack_undo(a_dyn.mem_addr)
-            else:
-                overrides_append(None)
-                if is_branch and taken != step.pred_taken:
-                    # A removed branch whose presumed outcome was wrong.
-                    dev_kind = "control"
-                    r_pc = dyn.next_pc
-                    break
-                if is_store and mem_addr is not None:
-                    recovery.track_do(mem_addr, detector_seq)
-            bit <<= 1
-            r_pc = dyn.next_pc
-
-        self.r_pc = r_pc
-        self._r_seq = r_seq
-        self.retired = retired
-
-        n = len(executed)
-        last_complete = rsc.total_cycles
-        if n:
-            # The followed id plus scheduled count walk a unique PC
-            # sequence (the R-stream breaks on any PC mismatch before
-            # scheduling); the mask fixes which slots carry delay-buffer
-            # value predictions.
-            key = (record.followed_tid, n, mask)
-            last_complete, _retires, count, block_break, _nb = (
-                self._timing_r.schedule(
-                    key, executed, n, self._r_block_count,
-                    self._r_block_break, overrides=overrides,
-                )
-            )
-            self._r_block_count = count
-            self._r_block_break = block_break
-        deviation = (dev_kind, last_complete) if dev_kind is not None else None
-        self._r_finish(record, executed, branch_ok, deviation, last_complete)
-
     def _r_finish(
         self,
         record: _ATraceRecord,
@@ -1399,9 +1222,9 @@ class SlipstreamProcessor:
         deviation: Optional[Tuple[str, int]],
         last_complete: int,
     ) -> None:
-        """Post-schedule R-phase tail, shared by the scalar and compiled
-        paths: detector feeding, predictor training, ir-vec bookkeeping,
-        deviation resolution and recovery."""
+        """Post-schedule R-phase tail: detector feeding, predictor
+        training, ir-vec bookkeeping, deviation resolution and
+        recovery."""
         # Feed the IR-detector with what the R-stream actually retired,
         # train the IR-predictor, and verify outstanding ir-vecs.
         if executed:

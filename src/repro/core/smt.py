@@ -17,9 +17,9 @@ windows scaled to their share of in-flight work.
 Because the partition is expressed purely as ``CoreConfig`` values fed
 through :class:`~repro.core.slipstream.SlipstreamConfig`, the SMT model
 inherits the fast paths transparently: the compiled execution engine
-and the memoized timing model (:mod:`repro.uarch.compiled_timing`) key
-their caches on the program and per-stream core config, never on which
-topology (CMP or SMT) wraps them.
+keys its closures on the program, and the fused per-stream timing loops
+read each stream's core config, never which topology (CMP or SMT) wraps
+them.
 """
 
 from __future__ import annotations

@@ -172,9 +172,9 @@ def render_report(scale: int) -> str:
       "identity-checked in CI: `REPRO_COMPILED=0` falls back to the\n"
       "interpreted execution engine (§7.8, `BENCH_perf_smoke.json`) and\n"
       "`REPRO_COMPILED_TIMING=0` to the scalar per-instruction scheduler\n"
-      "(§7.9, `BENCH_timing.json` — ~1.7× on the superscalar baseline,\n"
-      "parity on the already-inlined slipstream loops, timestamps\n"
-      "identical either way).  Neither flag enters config fingerprints,\n"
+      "on the superscalar baselines (§7.9, `BENCH_timing.json` — ~1.9×\n"
+      "on ss64, timestamps identical either way; slipstream always runs\n"
+      "its fused timing loops).  Neither flag enters config fingerprints,\n"
       "so toggling them never invalidates cached results.\n")
 
     # Table 1 -----------------------------------------------------------

@@ -36,9 +36,13 @@ class Cache:
 
         Misses allocate (fetch the line); LRU victim is evicted.
 
-        NOTE: the slipstream co-simulation hot loops
-        (``repro.core.slipstream``) inline this exact logic against
-        ``_sets``/``_stamp``; keep them in sync when changing it.
+        NOTE: the slipstream co-simulation's two fused loops,
+        ``SlipstreamProcessor._schedule_a_trace`` (A-stream) and
+        ``SlipstreamProcessor._r_phase`` (R-stream), inline this exact
+        logic against ``_sets``/``_stamp``, and ``TraceTimingEngine``
+        batches it per line run; keep them in sync when changing it
+        (``tests/test_slipstream_timing_reference.py`` checks the fused
+        loops against this method).
         """
         self.accesses += 1
         line = addr // self._line_bytes

@@ -2,38 +2,39 @@
 
 PR 5 compiled the *functional* path (threaded-code closures,
 :mod:`repro.arch.compiled`); this module applies the same treatment to
-the table-scheduled OoO timing model (:mod:`repro.uarch.scheduler`),
-which dominates every co-simulation once execution is compiled.
+the table-scheduled OoO timing model (:mod:`repro.uarch.scheduler`)
+of the superscalar baseline cores (:class:`repro.uarch.core.SuperscalarCore`),
+whose scalar path pays one ``OoOScheduler.add`` call per instruction.
 
-Three layers, all bit-identical to the scalar scheduler by construction:
+Two pieces, both bit-identical to the scalar scheduler by construction:
 
 1. **Pre-specialized timing metadata** — :func:`timing_meta_for`
    resolves per-static-instruction constants (source registers, FU
    latency from :mod:`repro.uarch.latencies`, load/store/control
    class) once per program per process, so per-dynamic-instruction
    scheduling never re-derives them or branches on instruction class.
+   The slipstream co-simulation's fused A- and R-stream loops
+   (:mod:`repro.core.slipstream`) read the same table.
 
-2. **Trace plans** — the engine keys every scheduled trace by its
-   static identity (trace id + removal mask + misprediction index) and
-   compiles, on first sight, a :class:`_TracePlan`: per-slot operand
-   tuples, destination registers, latencies, fetch-block break flags,
-   I-cache *line runs* (maximal same-line probe runs, batched into one
-   LRU update each) and the set of registers whose entry readiness the
-   schedule can observe.
-
-3. **Memoized timing deltas** — a trace's schedule is a pure function
-   of a small *entry signature* plus the position of the pipe anchor
-   ``M = max(C, last_dispatch)`` relative to the fetch anchor ``B``
-   (the next-block cycle), where ``C`` is the earliest possible
-   dispatch cycle.  Pipe-side entry state (ROB retire cycles, register
-   and store readiness, the retire/merge cursors, delay-buffer
-   override arrivals) is expressed relative to ``M`` and clamped to a
-   canonical floor when it is too old to be observable; fetch-side
-   state (the current-block fetch cycle, I-cache penalties, the fetch
-   overhead accumulator) is expressed relative to ``B``.  The first
-   time a signature is seen the trace is scheduled by the exact scalar
-   pass while recording per-slot timestamp deltas, issue-table effects
-   and the *fetch margin*: the smallest anchor gap ``mrel = M - B`` at
+2. **Memoized trace deltas** (:class:`TraceTimingEngine`) — the engine
+   keys every scheduled trace by its static identity (trace id +
+   misprediction index) and compiles, on first sight, a
+   :class:`_TracePlan`: per-slot operand tuples, destination registers,
+   latencies, fetch-block break flags, I-cache *line runs* (maximal
+   same-line probe runs, batched into one LRU update each) and the set
+   of registers whose entry readiness the schedule can observe.  A
+   trace's schedule is a pure function of a small *entry signature*
+   plus the position of the pipe anchor ``M = max(C, last_dispatch)``
+   relative to the fetch anchor ``B`` (the next-block cycle), where
+   ``C`` is the earliest possible dispatch cycle.  Pipe-side entry
+   state (ROB retire cycles, register and store readiness, the retire
+   cursor) is expressed relative to ``M`` and clamped to a canonical
+   floor when it is too old to be observable; fetch-side state (the
+   current-block fetch cycle, I-cache penalties, the fetch overhead
+   accumulator) is expressed relative to ``B``.  The first time a
+   signature is seen the trace is scheduled by the exact scalar pass
+   while recording per-slot timestamp deltas, issue-table effects and
+   the *fetch margin*: the smallest anchor gap ``mrel = M - B`` at
    which the fetch chain still never binds a dispatch.  A recorded
    delta replays — with integer adds — for every later entry whose
    signature matches and whose anchor gap is at or above that margin,
@@ -50,15 +51,14 @@ frontend_depth``: no dispatch in the trace can precede ``C``, and no
 dispatch can precede the entry ``last_dispatch`` either, so any entry
 readiness/ROB value at or below ``M = max(C, last_dispatch)`` is
 behaviorally indistinguishable from any other (see DESIGN.md §7.9 for
-the full fidelity argument).  The merge cycle, which participates in
-an equality test, clamps one cycle lower; the retire cycle clamps one
-higher (the first in-trace retirement is at least ``M + 2``).
+the full fidelity argument).  The retire cycle clamps one higher (the
+first in-trace retirement is at least ``M + 2``).
 
 Engine selection mirrors the functional engine: environmental
-(``REPRO_COMPILED_TIMING=0`` restores the scalar scheduler everywhere)
-and never part of any config fingerprint.  Fault-injection runs
-(``fault_hook``) always use the scalar path: a hook may perturb dynamic
-records in ways static plans must not assume away.
+(``REPRO_COMPILED_TIMING=0`` restores the scalar scheduler on the
+superscalar cores) and never part of any config fingerprint.  The
+slipstream co-simulation does not use the engine: its hand-inlined
+loops measured as fast with less memory (DESIGN.md §7.9).
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class _TracePlan:
 
     __slots__ = (
         "n", "srcs", "dest", "lat", "is_load", "is_store", "break_after",
-        "pre_break", "redirect_at", "mem_idx", "mem_load", "iruns",
+        "redirect_at", "mem_idx", "mem_load", "iruns",
         "read_regs", "sigs", "pending", "has_exact", "polluted",
     )
 
@@ -160,9 +160,9 @@ class _Delta:
     """Recorded effect of scheduling one trace from one entry signature.
 
     Pipe-side values (``rel_d``/``rel_i``/``rel_c``/``rel_r``, register
-    and store writes, issue-table cells, ``ld``/``mc``/``rc``/
-    ``last_c``) are relative to the pipe anchor ``M``; fetch-chain
-    values are ``max(B + *_b, M + *_m)`` pairs (the ``_m`` component is
+    and store writes, issue-table cells, ``ld``/``rc``/``last_c``) are
+    relative to the pipe anchor ``M``; fetch-chain values are
+    ``max(B + *_b, M + *_m)`` pairs (the ``_m`` component is
     :data:`_NEG` until a redirect floors the chain).  ``mrel_min`` is
     the smallest anchor gap the recorded schedule is valid for, or
     ``None`` for a gap-exact variant.
@@ -171,9 +171,9 @@ class _Delta:
     __slots__ = (
         "n", "rel_fb", "rel_fm", "rel_d", "rel_i", "rel_c", "rel_r",
         "pops", "reg_writes", "store_writes", "probes", "adds",
-        "nbc_b", "nbc_m", "cbf_b", "cbf_m", "ld", "du", "mc", "mu",
-        "rc", "rcount", "oacc", "block_count", "block_pending",
-        "new_blocks", "merge_stalls", "redirects", "last_c", "mrel_min",
+        "nbc_b", "nbc_m", "cbf_b", "cbf_m", "ld", "du", "rc", "rcount",
+        "oacc", "block_count", "block_pending", "new_blocks", "redirects",
+        "last_c", "mrel_min",
     )
 
 
@@ -223,13 +223,8 @@ class TraceTimingEngine:
 
     # ------------------------------------------------------------------
 
-    def _build_plan(
-        self,
-        dyns: Sequence,
-        n: int,
-        pre_breaks: Optional[Sequence[bool]],
-        redirect_at: int,
-    ) -> _TracePlan:
+    def _build_plan(self, dyns: Sequence, n: int,
+                    redirect_at: int) -> _TracePlan:
         plan = _TracePlan()
         plan.n = n
         meta_get = self._meta.get
@@ -255,8 +250,10 @@ class TraceTimingEngine:
             m_srcs, m_lat, m_load, m_store, m_control, _ = meta
             srcs.append(m_srcs)
             # dest_reg is a pure function of the static instruction (the
-            # compiled step closures bind it as a constant); fault hooks,
-            # which may rewrite records, disable this engine entirely.
+            # compiled step closures bind it as a constant).  Nothing
+            # rewrites records on the engine's callers: fault hooks run
+            # only on the slipstream and N-stream machines, which
+            # schedule without it.
             dest.append(dyn.dest_reg)
             lat.append(m_lat)
             is_load.append(m_load)
@@ -277,7 +274,6 @@ class TraceTimingEngine:
         plan.is_load = tuple(is_load)
         plan.is_store = tuple(is_store)
         plan.break_after = tuple(break_after)
-        plan.pre_break = tuple(pre_breaks) if pre_breaks is not None else None
         plan.redirect_at = redirect_at
         plan.mem_idx = tuple(mem_idx)
         plan.mem_load = tuple(mem_load)
@@ -307,28 +303,22 @@ class TraceTimingEngine:
         n: int,
         block_count: int,
         block_pending: bool,
-        overrides: Optional[Sequence[Optional[int]]] = None,
-        pre_breaks: Optional[Sequence[bool]] = None,
         redirect_at: int = -1,
-        want_retires: bool = False,
         cb: Optional[Callable[[Timestamps], None]] = None,
     ):
         """Schedule one trace of ``n`` dynamic instructions.
 
-        Returns ``(last_complete, retires, block_count, block_pending,
-        new_blocks)`` where ``retires`` is the per-slot retire-cycle
-        list when ``want_retires`` else None.  ``overrides`` carries the
-        delay-buffer arrival cycle per slot (None = not value-predicted);
-        ``pre_breaks`` marks slots that must start a fetch block because
-        of skipped (removed) instructions before them; ``redirect_at``
-        schedules a branch-misprediction redirect after that slot.
+        Returns ``(last_complete, block_count, block_pending,
+        new_blocks)``.  ``redirect_at`` schedules a branch-misprediction
+        redirect after that slot; ``cb``, when given, receives every
+        slot's :class:`Timestamps` in order.
         """
         plans = self._plans
         plan = plans.get(key)
         if plan is None:
             if len(plans) >= PLAN_CAP:
                 plans.clear()
-            plan = self._build_plan(dyns, n, pre_breaks, redirect_at)
+            plan = self._build_plan(dyns, n, redirect_at)
             plans[key] = plan
         elif plan.n != n:
             raise RuntimeError("compiled timing: trace key collision")
@@ -430,8 +420,7 @@ class TraceTimingEngine:
         if self._dead or plan.polluted:
             sched.timing_fallback += 1
             return self._scalar(plan, dyns, n, B, M, block_count,
-                                block_pending, overrides, ipens, dpens,
-                                None, want_retires, cb)
+                                block_pending, ipens, dpens, None, cb)
 
         # --- Entry signature ---
         rob = sched._rob_retire
@@ -442,8 +431,7 @@ class TraceTimingEngine:
             # in-trace retires would be popped; stay exact.
             sched.timing_fallback += 1
             return self._scalar(plan, dyns, n, B, M, block_count,
-                                block_pending, overrides, ipens, dpens,
-                                None, want_retires, cb)
+                                block_pending, ipens, dpens, None, cb)
         sigp: List[int] = [block_count, 1 if block_pending else 0,
                            sched._overhead_acc]
         sappend = sigp.append
@@ -466,14 +454,6 @@ class TraceTimingEngine:
         else:
             sappend(rc_rel)
             sappend(sched._retire_count)
-        if overrides is not None:
-            mc_rel = sched._merge_cycle - M
-            if mc_rel <= -1:
-                sappend(-1)
-                sappend(0)
-            else:
-                sappend(mc_rel)
-                sappend(sched._merge_used)
         sappend(L)
         if pops > 0:
             for t in islice(rob, 0, pops):
@@ -483,11 +463,6 @@ class TraceTimingEngine:
         for r in plan.read_regs:
             v = reg_ready[r] - M
             sappend(v if v > 0 else 0)
-        if overrides is not None:
-            for ov in overrides:
-                if ov is not None:
-                    v = ov - M
-                    sappend(v if v > 0 else 0)
         sappend(imisses)
         if imisses:
             sigp.extend(ipens)
@@ -509,7 +484,7 @@ class TraceTimingEngine:
                         break
                 else:
                     sched.timing_block_hit += 1
-                    return self._apply(d, dyns, B, M, want_retires, cb)
+                    return self._apply(d, dyns, B, M, cb)
         exact = plan.sigs.get((sig, mrel)) if plan.has_exact else None
         if exact is not None:
             for d in exact:
@@ -518,7 +493,7 @@ class TraceTimingEngine:
                         break
                 else:
                     sched.timing_block_hit += 1
-                    return self._apply(d, dyns, B, M, want_retires, cb)
+                    return self._apply(d, dyns, B, M, cb)
 
         sched.timing_block_miss += 1
         if not self._dead and sched.timing_block_miss % DEAD_CHECK == 0:
@@ -538,12 +513,11 @@ class TraceTimingEngine:
             pending.add(sig)
             record = None
         return self._scalar(plan, dyns, n, B, M, block_count, block_pending,
-                            overrides, ipens, dpens, record, want_retires, cb)
+                            ipens, dpens, record, cb)
 
     # ------------------------------------------------------------------
 
-    def _apply(self, d: _Delta, dyns: Sequence, B: int, M: int,
-               want_retires: bool, cb):
+    def _apply(self, d: _Delta, dyns: Sequence, B: int, M: int, cb):
         """Replay a recorded delta: integer adds against real state."""
         sched = self._sched
         rob = sched._rob_retire
@@ -551,8 +525,7 @@ class TraceTimingEngine:
         for _ in range(d.pops):
             pop()
         rel_r = d.rel_r
-        vals = [M + r for r in rel_r]
-        rob.extend(vals)
+        rob.extend([M + r for r in rel_r])
         reg_ready = sched._reg_ready
         for reg, rel in d.reg_writes:
             reg_ready[reg] = M + rel
@@ -575,16 +548,11 @@ class TraceTimingEngine:
         sched._cur_block_fetch = x if x > y else y
         sched._last_dispatch = M + d.ld
         sched._dispatch_used = d.du
-        if d.mc is not None:
-            sched._merge_cycle = M + d.mc
-            sched._merge_used = d.mu
         sched._retire_cycle = M + d.rc
         sched._retire_count = d.rcount
         sched._overhead_acc = d.oacc
         sched.retired += d.n
-        sched.merge_stalls += d.merge_stalls
         sched.redirects += d.redirects
-        retires = vals if want_retires else None
         if cb is not None:
             rel_fb, rel_fm = d.rel_fb, d.rel_fm
             rel_d, rel_i, rel_c = d.rel_d, d.rel_i, d.rel_c
@@ -593,16 +561,14 @@ class TraceTimingEngine:
                 fm = M + rel_fm[i]
                 cb(Timestamps(fb if fb > fm else fm, M + rel_d[i],
                               M + rel_i[i], M + rel_c[i], M + rel_r[i]))
-        return (M + d.last_c, retires, d.block_count, d.block_pending,
-                d.new_blocks)
+        return M + d.last_c, d.block_count, d.block_pending, d.new_blocks
 
     # ------------------------------------------------------------------
 
     def _scalar(self, plan: _TracePlan, dyns: Sequence, n: int, B: int,
                 M: int, block_count: int, block_pending: bool,
-                overrides: Optional[Sequence[Optional[int]]],
                 ipens: List[int], dpens: List[int],
-                record_sig: Optional[tuple], want_retires: bool, cb):
+                record_sig: Optional[tuple], cb):
         """The exact scalar pass (``OoOScheduler.add_args`` semantics),
         consuming pre-probed cache penalties; optionally records a
         :class:`_Delta` under ``record_sig``."""
@@ -615,7 +581,6 @@ class TraceTimingEngine:
         rob_size = sched._rob_size
         fd = self._fd
         fw = self._fw
-        mw = sched._merge_width
         reg_ready = sched._reg_ready
         stores = sched._store_ready
         store_get = stores.get
@@ -628,17 +593,13 @@ class TraceTimingEngine:
         cbf = sched._cur_block_fetch
         ld = sched._last_dispatch
         du = sched._dispatch_used
-        mc = sched._merge_cycle
-        mu = sched._merge_used
         rc = sched._retire_cycle
         rcount = sched._retire_count
-        merge_stalls = 0
         redirects = 0
         pops = 0
         new_blocks = 0
         redirect_at = plan.redirect_at
         rp = self._rp
-        pre_break = plan.pre_break
         break_after = plan.break_after
         p_srcs, p_dest, p_lat = plan.srcs, plan.dest, plan.lat
         p_load, p_store = plan.is_load, plan.is_store
@@ -648,7 +609,6 @@ class TraceTimingEngine:
         next_first = iruns[0][3] if nruns else -1
         mptr = 0
         last_complete = 0
-        retires: Optional[List[int]] = [] if want_retires else None
         rec = record_sig is not None
         if rec:
             rel_fb: List[int] = []
@@ -681,8 +641,6 @@ class TraceTimingEngine:
                 next_first = iruns[ridx][3] if ridx < nruns else -1
                 if pen:
                     block_pending = True
-            if pre_break is not None and pre_break[idx]:
-                block_pending = True
             if block_pending or block_count >= fw:
                 block_count = 0
                 block_pending = False
@@ -729,11 +687,6 @@ class TraceTimingEngine:
                     t = store_get(addr, 0)
                     if t > ready:
                         ready = t
-            ov = overrides[idx] if overrides is not None else None
-            accelerated = ov is not None and ov < ready
-            if accelerated:
-                local_ready = ready
-                ready = ov
             # Dispatch: in order, width-limited, ROB-limited.
             dispatch = fetch + fd
             if dispatch < ld:
@@ -761,15 +714,6 @@ class TraceTimingEngine:
                         pipe_ok = False
             if dispatch == ld and du >= dw:
                 dispatch += 1
-            if accelerated and local_ready > dispatch:
-                if dispatch == mc and mu >= mw:
-                    dispatch += 1
-                    merge_stalls += 1
-                if dispatch == mc:
-                    mu += 1
-                else:
-                    mc = dispatch
-                    mu = 1
             if dispatch == ld:
                 du += 1
             else:
@@ -816,8 +760,6 @@ class TraceTimingEngine:
                 rcount += 1
             rob_append(rc)
             last_complete = complete
-            if retires is not None:
-                retires.append(rc)
             if rec:
                 rel_fb.append(fetch_b)
                 rel_fm.append(fetch_m)
@@ -844,13 +786,10 @@ class TraceTimingEngine:
         sched._cur_block_fetch = cbf
         sched._last_dispatch = ld
         sched._dispatch_used = du
-        sched._merge_cycle = mc
-        sched._merge_used = mu
         sched._retire_cycle = rc
         sched._retire_count = rcount
         sched._overhead_acc = oacc
         sched.retired += n
-        sched.merge_stalls += merge_stalls
         sched.redirects += redirects
 
         if rec:
@@ -873,21 +812,12 @@ class TraceTimingEngine:
             d.cbf_m = cbf_m
             d.ld = ld - M
             d.du = du
-            if overrides is not None:
-                d.mc = mc - M
-                d.mu = mu
-            else:
-                # The merge cursor is only live on schedulers that see
-                # delay-buffer overrides; leave it untouched on replay.
-                d.mc = None
-                d.mu = 0
             d.rc = rc - M
             d.rcount = rcount
             d.oacc = oacc
             d.block_count = block_count
             d.block_pending = block_pending
             d.new_blocks = new_blocks
-            d.merge_stalls = merge_stalls
             d.redirects = redirects
             d.last_c = last_complete - M
             if pipe_ok:
@@ -907,7 +837,7 @@ class TraceTimingEngine:
             elif len(entries) < VARIANT_CAP:
                 entries.append(d)
 
-        return last_complete, retires, block_count, block_pending, new_blocks
+        return last_complete, block_count, block_pending, new_blocks
 
 
 __all__ = [

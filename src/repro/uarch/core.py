@@ -231,7 +231,7 @@ class SuperscalarCore:
                 # The id + divergence point determine the whole static
                 # schedule shape (indirect jumps terminate traces, so
                 # the id walks to a unique PC sequence).
-                last_c, _retires, count, pending, new_blocks = engine.schedule(
+                last_c, count, pending, new_blocks = engine.schedule(
                     (trace.trace_id, outcome_index), dyns, n,
                     former._count, former._pending_break,
                     redirect_at=outcome_index, cb=self._timing_cb,

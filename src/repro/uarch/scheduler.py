@@ -155,7 +155,8 @@ class OoOScheduler:
         #: traces replayed from a memoized delta, traces scheduled
         #: scalar-and-recorded, and traces that bypassed memoization
         #: entirely.  All zero when the engine is disabled
-        #: (``REPRO_COMPILED_TIMING=0``).  Observers only.
+        #: (``REPRO_COMPILED_TIMING=0``) and on the slipstream streams'
+        #: schedulers, which never use it.  Observers only.
         self.timing_block_hit = 0
         self.timing_block_miss = 0
         self.timing_fallback = 0
@@ -205,9 +206,13 @@ class OoOScheduler:
         :class:`InstrTiming` allocation (one call per scheduled dynamic
         instruction).
 
-        NOTE: the slipstream co-simulation hot loops
-        (``repro.core.slipstream``) inline this exact logic with the
-        scalar state in locals; keep them in sync when changing it.
+        NOTE: the slipstream co-simulation's two fused loops,
+        ``SlipstreamProcessor._schedule_a_trace`` (A-stream) and
+        ``SlipstreamProcessor._r_phase`` (R-stream), inline this exact
+        logic with the scalar state in locals, and
+        ``TraceTimingEngine._scalar`` does too; keep them in sync when
+        changing it (``tests/test_slipstream_timing_reference.py``
+        checks the fused loops against this method).
         """
         # Fetch.
         if new_block:

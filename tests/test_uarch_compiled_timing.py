@@ -3,10 +3,13 @@
 The engine replays per-trace timing deltas with integer adds; its whole
 contract is *bit-identity* with the scalar :class:`OoOScheduler` path.
 These tests check that contract three ways: property-based over random
-programs (superscalar timestamps and full slipstream results), through
-the timeline recorder (tracing must compose with, not bypass, the
-engine), and through observability (instrumentation stays neutral while
-the hit/miss/fallback counters surface in snapshots and RunReports).
+programs (superscalar timestamps), through the timeline recorder
+(tracing must compose with, not bypass, the engine), and through
+observability (instrumentation stays neutral while the hit/miss/fallback
+counters surface in snapshots and RunReports).  The engine serves the
+superscalar cores only; the slipstream co-simulation schedules through
+its fused loops whatever ``REPRO_COMPILED_TIMING`` says, and
+``tests/test_slipstream_timing_reference.py`` checks those loops.
 """
 
 import os
@@ -139,18 +142,6 @@ class TestTimestampIdentity:
         assert stamps["1"] == stamps["0"]
         assert results["1"] == results["0"]
 
-    @given(_program_text())
-    @settings(max_examples=12, deadline=None)
-    def test_slipstream_result_identical(self, source):
-        """The full co-simulation (A-stream redirects, R-phase
-        ready-override mixes, recovery) is unchanged by the engine."""
-        program = assemble(source, name="prop")
-        res = {}
-        for flag in ("1", "0"):
-            with _timing_mode(flag):
-                res[flag] = SlipstreamProcessor(program).run()
-        assert res["1"] == res["0"]
-
     def test_env_opt_out(self):
         with _timing_mode("0"):
             assert not compiled_timing_enabled()
@@ -217,11 +208,25 @@ class TestObservability:
             observed = SlipstreamProcessor(program, obs=obs).run()
         assert observed == plain
         report = build_report("cmp/replay@1", "cmp", "replay", observed, obs)
+        # The rows stay in the report schema; slipstream never runs the
+        # engine, so they read zero.
         for prefix in ("a_sched.", "r_sched."):
             for name in ("timing_block_hit", "timing_block_miss",
                          "timing_fallback"):
-                assert prefix + name in report.counters
-        assert report.counters["a_sched.timing_block_hit"] > 0
+                assert report.counters[prefix + name] == 0
+
+    def test_slipstream_ignores_the_timing_flag(self):
+        """``REPRO_COMPILED_TIMING`` selects the superscalar cores'
+        scheduler only: cmp results and both scheduler snapshots are
+        the same under either setting."""
+        program = assemble(REPLAY_LOOP, name="replay")
+        runs = {}
+        for flag in ("1", "0"):
+            with _timing_mode(flag):
+                proc = SlipstreamProcessor(program)
+                runs[flag] = (proc.run(), proc.a_sched.snapshot(),
+                              proc.r_sched.snapshot())
+        assert runs["1"] == runs["0"]
 
     def test_scalar_mode_counts_nothing(self):
         program = assemble(REPLAY_LOOP, name="replay")
