@@ -65,7 +65,7 @@ class ModeError(ValueError):
     """Structured mode-dispatch error.
 
     Carries the offending mode name, the number of programs supplied,
-    and a human-oriented hint, so callers (CLI, serve codec) can build
+    and a human-oriented hint, so callers (the CLIs) can build
     precise diagnostics instead of parsing message strings.
     """
 

@@ -17,11 +17,11 @@ Results are memoised at two levels:
   fingerprint** (a hash of every ``repro`` source file), so editing the
   simulator automatically invalidates stale entries.  Corrupt or
   unreadable cache files are discarded, never fatal.  Entries are
-  **sharded** by key-digest prefix (``root/ab/…``) so many concurrent
-  clients — the eval service of :mod:`repro.eval.serve` multiplexes one
-  root across tenants — never contend on a single directory; the flat
-  pre-shard layout is still *read* (legacy entries keep hitting) while
-  all writes go to the sharded layout, and :meth:`DiskCache.clear` /
+  **sharded** by key-digest prefix (``root/ab/…``) so concurrent
+  writers — pool workers, parallel CLI invocations sharing one root —
+  never contend on a single directory; the flat pre-shard layout is
+  still *read* (legacy entries keep hitting) while all writes go to
+  the sharded layout, and :meth:`DiskCache.clear` /
   :meth:`DiskCache.prune_stale` walk both, sweeping orphaned ``*.tmp*``
   files abandoned by crashed writers along the way.
 
@@ -415,11 +415,10 @@ def _simulate_fault_study(benchmark: str, scale: int, points: int,
 
 
 #: CPU clock for per-job cost measurement.  *Thread* CPU time, where
-#: the platform has it: with the in-process worker backend
-#: (:mod:`repro.eval.backends`) several attempts share one process, and
-#: ``time.process_time()`` would charge every concurrent sibling's
-#: cycles to each job.  In single-threaded pool workers and the inline
-#: path the two clocks agree.
+#: the platform has it: when several threads run attempts in one
+#: process, ``time.process_time()`` would charge every concurrent
+#: sibling's cycles to each job.  In single-threaded pool workers and
+#: the inline path the two clocks agree.
 _cpu_clock = time.thread_time if hasattr(time, "thread_time") \
     else time.process_time
 
@@ -457,17 +456,15 @@ def run_attempt(spec: JobSpec, timeout_seconds: Optional[float] = None):
     itimer, so a stuck job dies with a
     :class:`~repro.eval.resilience.JobTimeout` while the worker (and
     the rest of the pool) survives.  ``signal.signal``/``setitimer``
-    raise ``ValueError`` off the main thread, so threaded callers — the
-    in-process worker backend (:mod:`repro.eval.backends`) behind the
-    eval daemon's request handlers — fall back to a **monotonic
-    post-hoc deadline**: the attempt runs to completion, and if it
-    exceeded the budget its (late) result is discarded and
-    ``JobTimeout`` is raised, so timeout classification and retry
-    accounting match the ``SIGALRM`` path exactly.  The documented
-    limitation of the fallback is that a *wedged* job cannot be
-    interrupted from another thread; a driver-side hard deadline (the
-    pool path) or process-level budget must cover true hangs.
-    Platforms without ``SIGALRM`` take the same fallback.
+    raise ``ValueError`` off the main thread, so threaded callers fall
+    back to a **monotonic post-hoc deadline**: the attempt runs to
+    completion, and if it exceeded the budget its (late) result is
+    discarded and ``JobTimeout`` is raised, so timeout classification
+    and retry accounting match the ``SIGALRM`` path exactly.  The
+    documented limitation of the fallback is that a *wedged* job cannot
+    be interrupted from another thread; the runner's driver-side hard
+    deadline (its process pool) or a process-level budget must cover
+    true hangs.  Platforms without ``SIGALRM`` take the same fallback.
     """
     if not timeout_seconds:
         return timed_simulate(spec)
@@ -608,11 +605,7 @@ def cache_entry_digest(key: JobKey, code_version: Optional[str] = None) -> str:
 
     sha256 over (canonical key, code-version fingerprint), truncated to
     24 hex chars.  The *same* digest both shards the disk cache
-    (:meth:`DiskCache._entry_name`; shard dir = first two chars) and
-    steers daemon federation (:mod:`repro.eval.remote`): a job is
-    dispatched to the worker daemon whose digest bucket owns it, so
-    repeated fleet sweeps land each job back on the worker whose disk
-    cache is already warm for it.
+    (:meth:`DiskCache._entry_name`; shard dir = first two chars).
     """
     return sha256(
         repr((canonical(key), code_version or code_fingerprint()))
@@ -656,12 +649,12 @@ class DiskCache:
     as a miss.
 
     Entries live under a two-hex-character shard directory derived from
-    the key digest (``root/ab/cmp-li-…pkl``), so the many clients of a
-    shared cache root (:mod:`repro.eval.serve`) spread their directory
-    traffic over 256 shards instead of contending on one.  The flat
-    pre-shard layout is still read as a fallback — old roots keep
-    hitting without migration — while every write goes to the sharded
-    layout; :meth:`clear` and :meth:`prune_stale` walk both.
+    the key digest (``root/ab/cmp-li-…pkl``), so the writers sharing a
+    cache root spread their directory traffic over 256 shards instead
+    of contending on one.  The flat pre-shard layout is still read as a
+    fallback — old roots keep hitting without migration — while every
+    write goes to the sharded layout; :meth:`clear` and
+    :meth:`prune_stale` walk both.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None,

@@ -18,13 +18,12 @@ Jobs never seen before fall back to the static model weights, scaled by
 the median of the learned durations so unknown jobs sort amongst the
 known ones instead of all landing at one end of the queue.
 
-Many processes may share one cache root (parallel sweeps, the eval
-daemon's spawned workers, plain concurrent invocations), so
-:meth:`DurationOracle.save` is **read-merge-write**: it reloads the
-on-disk durations under an advisory file lock, folds in only the keys
-this oracle actually observed, and atomically replaces the file — a
-concurrent observer's learning is merged, never clobbered by
-last-writer-wins.
+Many processes may share one cache root (parallel sweeps, plain
+concurrent invocations), so :meth:`DurationOracle.save` is
+**read-merge-write**: it reloads the on-disk durations under an
+advisory file lock, folds in only the keys this oracle actually
+observed, and atomically replaces the file — a concurrent observer's
+learning is merged, never clobbered by last-writer-wins.
 """
 
 from __future__ import annotations
@@ -138,11 +137,9 @@ class DurationOracle:
     def rank_longest_first(self, specs):
         """``specs`` sorted longest-expected-first (stable).
 
-        The LJF submission order shared by the runner's pool path and
-        the federation dispatcher's per-worker queues
-        (:mod:`repro.eval.remote`): draining the expensive jobs first
-        keeps a pool — or a fleet — from idling behind one straggler
-        discovered late.
+        The runner's LJF submission order: draining the expensive jobs
+        first keeps a pool from idling behind one straggler discovered
+        late.
         """
         return sorted(specs, key=lambda s: self.estimate(s.key),
                       reverse=True)

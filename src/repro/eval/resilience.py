@@ -12,35 +12,32 @@ module holds the policy and bookkeeping the hardened
   wall-clock timeout, bounded retries with *deterministic* exponential
   backoff, the poison-quarantine threshold for pool crashes, and the
   pool-rebuild budget.  Surfaced as ``python -m repro.eval --timeout``
-  / ``--retries`` (and the same flags on ``python -m repro.fault``).
+  / ``--retries`` (and the same flags on ``python -m repro.fault``;
+  :func:`check_runner_args` validates them for both CLIs).
 * :class:`AttemptRecord` — per-attempt provenance, recorded on every
   :class:`~repro.eval.runner.JobRecord` and folded into
   ``BENCH_runner.json``.
 * :class:`JobTimeout` — raised *inside* the worker when an attempt
-  exceeds the policy's wall clock: by a ``SIGALRM`` itimer on a worker
-  main thread (spawned backend), so a stuck job dies without taking
-  the worker (or the pass) with it; off the main thread (the in-process
-  backend, the serve daemon's threads) by the post-hoc monotonic
-  deadline in :func:`repro.eval.jobs.run_attempt` — same exception,
-  same classification, but a wedged attempt cannot be interrupted
-  there (see that docstring for the trade-off).
+  exceeds the policy's wall clock: by a ``SIGALRM`` itimer on the main
+  thread of the executing process (a pool worker or the inline
+  driver), so a stuck job dies without taking the worker (or the pass)
+  with it; off the main thread, or where ``SIGALRM`` is missing, by the
+  post-hoc monotonic deadline in :func:`repro.eval.jobs.run_attempt` —
+  same exception, same classification, but a wedged attempt cannot be
+  interrupted there (see that docstring for the trade-off).
 * :class:`ChaosPlan` — first-class synthetic failure jobs (sleep past
-  the timeout, ``os._exit`` mid-job, fail-N-times-then-succeed via a
-  state file).  The resilience tests and the CI ``fault-smoke`` job
-  injure the runner with these on purpose; they run through the exact
-  same job pipeline as real simulations.
-
-The same :class:`RetryPolicy` budget also governs cross-machine
-failure handling: the daemon federation (:mod:`repro.eval.remote`)
-counts each migration of an un-acked job off a dead worker daemon as
-one attempt against ``max_retries``, so a job that keeps landing on
-dying workers is bounded exactly like a job that keeps crashing a
-local pool.
+  the timeout, ``os._exit`` mid-job, wedge with ``SIGALRM`` blocked,
+  fail-N-times-then-succeed via a state file).  The resilience tests
+  and the CI ``fault-smoke`` job injure the runner with these on
+  purpose; they run through the exact same job pipeline as real
+  simulations.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
+import signal
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -119,6 +116,27 @@ class RetryPolicy:
         return self.timeout_seconds * self.hard_timeout_factor
 
 
+def check_runner_args(parser: argparse.ArgumentParser,
+                      args: argparse.Namespace) -> None:
+    """Reject bad runner flags with a usage error (exit code 2).
+
+    Shared by ``python -m repro.eval`` and ``python -m repro.fault``:
+    both take a workload ``scale``, ``--jobs``, ``--timeout`` and
+    ``--retries``, and a bad value must stop the CLI before any
+    simulation rather than surface later as a ``ValueError`` traceback
+    from :class:`RetryPolicy` or the runner (or, for ``scale < 1``, as
+    programs that never halt).
+    """
+    if args.scale < 1:
+        parser.error("scale must be >= 1")
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
+    if args.timeout is not None and args.timeout <= 0:
+        parser.error("--timeout must be positive")
+    if args.retries < 0:
+        parser.error("--retries must be >= 0")
+
+
 @dataclass
 class AttemptRecord:
     """Provenance of one attempt at one job.
@@ -149,7 +167,8 @@ class AttemptRecord:
 # ----------------------------------------------------------------------
 
 #: Behaviours a :class:`ChaosPlan` can request.
-CHAOS_BEHAVIORS = ("ok", "raise", "exit", "sleep", "flaky", "interrupt")
+CHAOS_BEHAVIORS = ("ok", "raise", "exit", "sleep", "flaky", "interrupt",
+                   "wedge")
 
 
 @dataclass(frozen=True)
@@ -166,6 +185,10 @@ class ChaosPlan:
       ``state_file``, which survives process boundaries), then succeed.
     * ``"interrupt"`` — raise ``KeyboardInterrupt``, aborting the pass
       the way a real Ctrl-C would (checkpoint/resume tests).
+    * ``"wedge"`` — block ``SIGALRM``, then sleep ``seconds``: a job stuck
+      beyond the per-attempt itimer's reach, which only the runner's
+      driver-side hard deadline can stop.  Bounded by ``seconds``, so a
+      broken kill path shows up as a slow pass rather than a hang.
     """
 
     behavior: str
@@ -186,6 +209,13 @@ class ChaosPlan:
 
 def execute_chaos(plan: ChaosPlan) -> str:
     """Carry out one chaos job's scripted behaviour (the worker side)."""
+    if plan.behavior == "wedge":
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
+        try:
+            time.sleep(plan.seconds)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        return "ok"
     if plan.seconds > 0:
         time.sleep(plan.seconds)
     if plan.behavior in ("ok", "sleep"):
@@ -220,5 +250,6 @@ __all__ = [
     "ChaosPlan",
     "JobTimeout",
     "RetryPolicy",
+    "check_runner_args",
     "execute_chaos",
 ]

@@ -17,22 +17,16 @@ are embarrassingly parallel, so the runner:
 ``jobs=1`` runs inline — no pool, no pickling — and is the reference
 the parallel path is tested against: results must be bit-identical.
 
-The pool itself is a pluggable :class:`~repro.eval.backends.WorkerBackend`
-(``backend="spawn"`` — the historical process pool — or ``"thread"``
-for an in-process pool with no pickling or startup cost; the eval
-daemon of :mod:`repro.eval.serve` shares the same abstraction).
-
 The runner is **resilient** (:mod:`repro.eval.resilience`): each job
 attempt runs under the :class:`~repro.eval.resilience.RetryPolicy`'s
 wall-clock timeout (a ``SIGALRM`` itimer inside the executing process,
-so a stuck job dies without taking its worker along; in-process
-backends fall back to the post-hoc monotonic deadline documented on
-:func:`repro.eval.jobs.run_attempt`), failed attempts are retried with
-deterministic exponential backoff, a crashed pool (worker OOM-killed
-or segfaulted: ``BrokenExecutor``) is rebuilt and the innocent
-in-flight jobs requeued, and a job in flight across
-``poison_threshold`` consecutive crashes is quarantined as poison
-instead of sinking the pass.  Because every completed job is absorbed
+so a stuck job dies without taking its worker along), a worker wedged
+beyond ``SIGALRM``'s reach is killed at the driver-side hard deadline,
+failed attempts are retried with deterministic exponential backoff, a
+crashed pool (worker OOM-killed or segfaulted: ``BrokenExecutor``) is
+rebuilt and the innocent in-flight jobs requeued, and a job in flight
+across ``poison_threshold`` consecutive crashes is quarantined as
+poison instead of sinking the pass.  Because every completed job is absorbed
 into the persistent :class:`~repro.eval.jobs.DiskCache` *as it
 finishes*, an interrupted pass checkpoints itself: rerunning the same
 specs resumes from the last absorbed job with zero re-simulation.
@@ -48,12 +42,17 @@ import os
 import time
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.eval import models
-from repro.eval.backends import WorkerBackend, resolve_backend
 from repro.eval.jobs import (
     MISS,
     JobKey,
@@ -207,8 +206,7 @@ class ExperimentRunner:
     """Run a batch of simulation jobs, in parallel, through the caches."""
 
     def __init__(self, jobs: int = 1, use_disk_cache: bool = True,
-                 policy: Optional[RetryPolicy] = None,
-                 backend: Union[str, WorkerBackend, None] = None):
+                 policy: Optional[RetryPolicy] = None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         cpus = os.cpu_count() or 1
@@ -223,11 +221,6 @@ class ExperimentRunner:
         self.jobs = jobs
         self.use_disk_cache = use_disk_cache
         self.policy = policy if policy is not None else RetryPolicy()
-        #: Worker backend for the ``jobs > 1`` pool path: a
-        #: :mod:`repro.eval.backends` name ("spawn", "thread",
-        #: "inline"), a ready instance, or None for the default spawned
-        #: process pool.  ``jobs=1`` always runs inline, backend-free.
-        self.backend = backend
 
     def run(self, specs: Sequence[JobSpec]) -> RunnerStats:
         """Execute ``specs`` (deduplicated), warming both cache levels.
@@ -339,7 +332,7 @@ class ExperimentRunner:
                   failures: List[Tuple[JobKey, BaseException]],
                   aborted: List[JobKey],
                   oracle: DurationOracle) -> None:
-        """Drain ``cold`` through a worker backend, surviving crashes.
+        """Drain ``cold`` through a process pool, surviving crashes.
 
         At most ``workers`` jobs are in flight at once, so when the pool
         crashes the suspect set is exactly the in-flight jobs: each
@@ -348,30 +341,23 @@ class ExperimentRunner:
         submitted and are requeued blamelessly.  The pool itself is
         rebuilt up to ``max_pool_rebuilds`` times, after which the pass
         gives up: suspects are recorded ``"failed"``, never-run victims
-        ``"aborted"``.  Crash recovery and the driver-side hard
-        deadline engage only as far as the backend supports them
-        (``can_crash`` / ``can_kill_workers``): an in-process thread
-        pool cannot lose a worker, and its wedged jobs cannot be
-        killed, so there the per-attempt post-hoc deadline is the
-        timeout story.
+        ``"aborted"``.  A worker silent past the policy's hard deadline
+        is killed, which breaks the pool and sends the same crash path
+        after it with the blame pinned on the overdue job.
         """
         policy = self.policy
         workers = min(self.jobs, len(cold))
         stats.workers = workers
         queue: Deque[_PendingJob] = deque(_PendingJob(s) for s in cold)
         inflight: Dict[Future, Tuple[_PendingJob, float]] = {}
-        backend = resolve_backend(self.backend)
+        pool: Optional[ProcessPoolExecutor] = None
         rebuilds = 0
         hard_blamed: Optional[_PendingJob] = None
 
         try:
             while queue or inflight:
-                if not backend.running:
-                    backend.start(workers)
-                    # A backend may resolve to a different effective
-                    # width than asked (a remote daemon reports *its*
-                    # pool size); record what the pass actually got.
-                    stats.workers = backend.workers or workers
+                if pool is None:
+                    pool = ProcessPoolExecutor(max_workers=workers)
                 now = time.monotonic()
 
                 # Submit ready jobs up to the in-flight bound.  Crash
@@ -400,7 +386,8 @@ class ExperimentRunner:
                     queue.rotate(-index)
                     job = queue.popleft()
                     queue.rotate(index)
-                    future = backend.submit(job.spec, policy.timeout_seconds)
+                    future = pool.submit(run_attempt, job.spec,
+                                         policy.timeout_seconds)
                     # Submit-time monotonic stamp: the worker reports
                     # its own start-time reading back, and the
                     # difference is the job's queue delay.
@@ -453,7 +440,7 @@ class ExperimentRunner:
                                      max(0.0, started - submitted), report,
                                      disk, stats, oracle, job.attempts)
 
-                if crashed or backend.broken():
+                if crashed or pool._broken:
                     # The pool is dead: every remaining in-flight future
                     # is doomed — fold them into the suspect set.
                     for future, (job, submitted) in list(inflight.items()):
@@ -465,7 +452,8 @@ class ExperimentRunner:
                             time.monotonic() - submitted,
                         ))
                     inflight.clear()
-                    backend.shutdown(wait=False)
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    pool = None
                     rebuilds += 1
                     stats.pool_rebuilds += 1
                     if rebuilds > policy.max_pool_rebuilds:
@@ -479,10 +467,9 @@ class ExperimentRunner:
                 # Driver-side hard deadline: a worker silent past the
                 # policy's hard deadline is presumed wedged beyond
                 # SIGALRM's reach; kill its pool and let the crash path
-                # attribute blame to it alone.  Only enforceable on
-                # backends whose workers can actually be killed.
+                # attribute blame to it alone.
                 hard = policy.hard_deadline_seconds
-                if hard is not None and inflight and backend.can_kill_workers:
+                if hard is not None and inflight:
                     now = time.monotonic()
                     overdue = [
                         (job, submitted)
@@ -491,10 +478,14 @@ class ExperimentRunner:
                     ]
                     if overdue:
                         hard_blamed = overdue[0][0]
-                        backend.kill_workers()
+                        for process in list(pool._processes.values()):
+                            try:
+                                process.kill()
+                            except OSError:
+                                pass
         finally:
-            if backend.running:
-                backend.shutdown(wait=False)
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
 
     def _wait_timeout(self, inflight, queue, now: float) -> Optional[float]:
         """How long :func:`wait` may block: until the next backoff expiry
@@ -640,12 +631,10 @@ def run_artifact_jobs(
     jobs: int = 1,
     use_disk_cache: bool = True,
     policy: Optional[RetryPolicy] = None,
-    backend: Union[str, WorkerBackend, None] = None,
 ) -> RunnerStats:
     """Convenience wrapper: one runner pass over ``specs``."""
     return ExperimentRunner(
         jobs=jobs, use_disk_cache=use_disk_cache, policy=policy,
-        backend=backend,
     ).run(specs)
 
 

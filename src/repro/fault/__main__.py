@@ -27,7 +27,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.modes import CAMPAIGN_MODES
-from repro.eval.resilience import RetryPolicy
+from repro.eval.resilience import RetryPolicy, check_runner_args
 from repro.fault.campaign import (
     DEFAULT_BENCH_FAULT_PATH,
     DEFAULT_SITES,
@@ -110,6 +110,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--format", choices=("table", "json"),
                         default="table", help="stdout format")
     args = parser.parse_args(argv)
+    check_runner_args(parser, args)
+    if args.points < 1:
+        parser.error("--points must be >= 1")
 
     config = CampaignConfig(
         benchmarks=tuple(args.benchmarks or suite_names),

@@ -130,6 +130,8 @@ class CampaignConfig:
             raise ValueError("campaign needs at least one benchmark")
         if not self.sites:
             raise ValueError("campaign needs at least one fault site")
+        if self.scale < 1:
+            raise ValueError("scale must be >= 1")
         if self.points_per_benchmark < 1:
             raise ValueError("points_per_benchmark must be >= 1")
         if not 0.0 <= self.warmup_fraction < 1.0:

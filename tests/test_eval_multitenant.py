@@ -1,11 +1,12 @@
 """Multi-tenant correctness of one shared cache root.
 
-The eval daemon (and plain concurrent invocations) point many threads
-and processes at one ``.cache/repro-eval`` directory; these tests pin
-the concurrency fixes that make that safe: digest-sharded entries with
-flat-legacy read compatibility, per-call-unique tmp files (plus orphan
-sweeping), read-merge-write oracle persistence, and the off-main-thread
-per-attempt timeout fallback.
+Pool workers and concurrent CLI invocations point many processes (and
+threaded callers many threads) at one ``.cache/repro-eval`` directory;
+these tests pin the concurrency fixes that make that safe:
+digest-sharded entries with flat-legacy read compatibility,
+per-call-unique tmp files (plus orphan sweeping), read-merge-write
+oracle persistence, and the off-main-thread per-attempt timeout
+fallback.
 """
 
 import os

@@ -236,6 +236,36 @@ class TestPoolCrashRecovery:
             assert "aborted" in record.error
             assert record.key in err.aborted
 
+    def test_hard_deadline_kills_wedged_worker(self, fresh_caches):
+        """A job that blocks ``SIGALRM`` outlives its per-attempt itimer;
+        the driver kills its worker at the hard deadline, blames that
+        job alone, and the innocent jobs still complete."""
+        wedge_seconds = 30.0
+        specs = [
+            chaos_spec("wedge", ChaosPlan(behavior="wedge",
+                                          seconds=wedge_seconds)),
+            count_spec(BENCH),
+            count_spec("go"),
+        ]
+        policy = RetryPolicy(timeout_seconds=0.3, hard_timeout_factor=2,
+                             poison_threshold=1, **FAST)
+        t0 = time.monotonic()
+        with pytest.raises(RunnerError) as excinfo:
+            ExperimentRunner(jobs=2, policy=policy).run(specs)
+        assert time.monotonic() - t0 < wedge_seconds / 3
+        stats = excinfo.value.stats
+
+        assert stats.poisoned == 1
+        assert stats.simulated == 2
+        [wedged] = [r for r in stats.records if r.source == "failed"]
+        assert wedged.key.model == "chaos"
+        [attempt] = wedged.attempts
+        assert attempt.outcome == "timeout"
+        assert "hard deadline" in attempt.error
+        assert "worker killed" in attempt.error
+        assert {r.key.benchmark for r in stats.records
+                if r.source == "simulated"} == {BENCH, "go"}
+
     def test_payload_carries_resilience_counters(self, fresh_caches,
                                                  tmp_path):
         plan = ChaosPlan(behavior="flaky", fail_times=1,

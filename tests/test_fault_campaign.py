@@ -138,6 +138,7 @@ class TestSampling:
         {"points_per_benchmark": 0},
         {"warmup_fraction": 1.0},
         {"warmup_fraction": -0.1},
+        {"scale": 0},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -515,6 +516,23 @@ class TestFaultCLI:
         with pytest.raises(SystemExit):
             main(["--benchmarks", BENCH, "--sites", "nonsense",
                   "--bench-out", "-"])
+
+    @pytest.mark.parametrize("flag", [
+        ["--scale", "0"],
+        ["--points", "0"],
+        ["--jobs", "0"],
+        ["--timeout", "-1"],
+        ["--retries", "-1"],
+    ])
+    def test_cli_rejects_bad_number_before_simulating(self, fresh_caches,
+                                                       capsys, flag):
+        from repro.fault.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--benchmarks", BENCH, "--bench-out", "-", *flag])
+        assert excinfo.value.code == 2
+        assert "must be" in capsys.readouterr().err
+        assert jobs.simulation_count() == 0
 
     def test_cli_modes_all_prints_frontier(self, fresh_caches, tmp_path,
                                            capsys):
