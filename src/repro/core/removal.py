@@ -68,13 +68,22 @@ def _category_of(kind: RemovalKind) -> str:
     return "BR"
 
 
-#: Precomputed category label for every flag combination (the mapping is
-#: consulted once per removed dynamic instruction — a hot path).
-_CATEGORY_LUT = {
-    kind: _category_of(RemovalKind(kind))
+class _CategoryTable(dict):
+    """Kind -> category label; a kind with no flags set has none."""
+
+    def __missing__(self, kind):
+        raise ValueError("no removal flags set")
+
+
+#: Precomputed category label for every flag combination, keyed by the
+#: plain-int (or RemovalKind) bitmask.  The mapping is consulted once per
+#: removed dynamic instruction -- a hot path, so callers there index this
+#: table directly instead of calling :func:`removal_category`.
+CATEGORY_OF = _CategoryTable(
+    (kind, _category_of(RemovalKind(kind)))
     for kind in range(1, int(RemovalKind.BR | RemovalKind.WW
                              | RemovalKind.SV | RemovalKind.PROPAGATED) + 1)
-}
+)
 
 
 def removal_category(kind: RemovalKind) -> str:
@@ -84,7 +93,4 @@ def removal_category(kind: RemovalKind) -> str:
     WW (paper, section 5); propagated selections report the full flag
     combination.
     """
-    try:
-        return _CATEGORY_LUT[int(kind)]
-    except KeyError:
-        raise ValueError("no removal flags set") from None
+    return CATEGORY_OF[int(kind)]

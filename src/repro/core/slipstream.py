@@ -49,7 +49,7 @@ divided by the cycles for **both** streams to complete (section 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, cast
 
 from repro.arch.compiled import compiled_for, resolve_engine
 from repro.arch.executor import DynInstr, ExecutionError, execute_one
@@ -60,8 +60,8 @@ from repro.core.ir_detector import IRDetector, TraceAnalysis
 from repro.core.ir_predictor import IRPredictor, IRPredictorConfig, RemovalPrediction
 from repro.core.pc_ir_predictor import PCIRPredictor, PCIRPredictorConfig
 from repro.core.recovery import RecoveryController
-from repro.core.removal import RemovalKind, removal_category
-from repro.isa.instructions import InstrClass, WORD
+from repro.core.removal import CATEGORY_OF, RemovalKind
+from repro.isa.instructions import InstrClass
 from repro.isa.program import Program
 from repro.obs.session import Observability
 from repro.trace.predictor import TracePredictorConfig
@@ -216,37 +216,49 @@ class SlipstreamResult:
         return self.ir_penalty_total / self.ir_mispredictions
 
 
-class _FollowedStep:
-    """One instruction along the path the A-stream actually followed."""
+class _StaticTrace:
+    """The removal-invariant columns of one predicted trace id, built
+    once per id (``_expand`` caches them): per position the PC,
+    predicted taken-ness and next PC, whether it is a conditional branch,
+    and whether it may be removed at all (not ``_NEVER_REMOVED``)."""
 
-    __slots__ = ("pc", "instr", "executed", "kind", "dyn", "pred_taken",
-                 "mispredicted", "a_retire")
+    __slots__ = ("pcs", "taken", "next_pcs", "branch", "removable")
 
-    def __init__(self, pc, instr, executed, kind=RemovalKind.NONE, dyn=None,
-                 pred_taken=False):
-        self.pc = pc
-        self.instr = instr
-        self.executed = executed
-        self.kind = kind
-        self.dyn = dyn
-        self.pred_taken = pred_taken
-        #: A-stream-detected conventional misprediction at this branch.
-        self.mispredicted = False
-        #: A-core cycle at which this instruction retired (entered the
-        #: delay buffer); 0 for removed instructions.
-        self.a_retire = 0
+    def __init__(self, steps: List[PredictedStep]):
+        self.pcs = [st.pc for st in steps]
+        self.taken = [st.taken for st in steps]
+        # Read only at removable positions, so never an indirect jump's
+        # unknown (None) successor.
+        self.next_pcs = cast(List[int], [st.next_pc for st in steps])
+        self.branch = [st.instr.is_branch for st in steps]
+        self.removable = [st.instr.klass not in _NEVER_REMOVED for st in steps]
 
 
 class _ATraceRecord:
-    """One delay-buffer outcome group: an A-stream trace's outcomes."""
+    """One delay-buffer outcome group: an A-stream trace's outcomes, as
+    per-position columns along the path the A-stream followed.
 
-    __slots__ = ("steps", "followed_tid", "applied_removal", "available_cycle",
+    ``dyns[i]`` is None for a removed instruction; ``pred_taken[i]`` is
+    the predicted (removed: presumed) taken-ness; ``a_retire[i]`` the
+    A-core retire cycle (0 if removed).  ``mispredicted`` is the position
+    of the trace's one charged misprediction, or -1.  ``outcomes`` are
+    the followed path's branch outcomes, presumed ones included.
+    ``kinds`` is the applied removal's kinds (None if none), indexed by
+    position: removal only happens while the prediction holds."""
+
+    __slots__ = ("pcs", "dyns", "pred_taken", "a_retire", "mispredicted",
+                 "outcomes", "kinds", "followed_tid", "available_cycle",
                  "a_halted", "pushed")
 
-    def __init__(self, steps, followed_tid, applied_removal, a_halted):
-        self.steps: List[_FollowedStep] = steps
-        self.followed_tid: TraceId = followed_tid
-        self.applied_removal: bool = applied_removal
+    def __init__(self, start_pc: int, kinds=None, a_halted=False):
+        self.pcs: List[int] = []
+        self.dyns: List[Optional[DynInstr]] = []
+        self.pred_taken: List[bool] = []
+        self.a_retire: List[int] = []
+        self.mispredicted = -1
+        self.outcomes: List[bool] = []
+        self.kinds: Optional[Tuple[RemovalKind, ...]] = kinds
+        self.followed_tid = TraceId(start_pc, ())
         self.available_cycle = 0
         self.a_halted = a_halted
         self.pushed = False
@@ -316,7 +328,7 @@ class SlipstreamProcessor:
         self.delay_buffer = DelayBuffer(cfg.delay_buffer_capacity, cfg.transfer_latency)
         self.recovery = RecoveryController()
         self.walker = StaticTraceWalker(program, cfg.trace_length)
-        self._expansion_cache: Dict[TraceId, List[PredictedStep]] = {}
+        self._expansion_cache: Dict[TraceId, _StaticTrace] = {}
 
         # Two cores (or two SMT partitions) with private caches and
         # schedulers.
@@ -407,7 +419,7 @@ class SlipstreamProcessor:
 
     def _apply_hints(
         self,
-        steps_static: List[PredictedStep],
+        static: _StaticTrace,
         removal: Optional[RemovalPrediction],
     ) -> Optional[RemovalPrediction]:
         """OR statically-proven removal bits into a trace prediction.
@@ -420,17 +432,16 @@ class SlipstreamProcessor:
         directions = self._hint_branch_taken
         vec = kinds = None
         n_vec = len(removal.ir_vec) if removal is not None else 0
-        for i, st in enumerate(steps_static):
+        for i, (pc, taken) in enumerate(zip(static.pcs, static.taken)):
             if i < n_vec and removal.ir_vec[i]:
                 continue
-            pc = st.pc
             if pc not in self._hint_pcs or not pc_ir.removable(pc):
                 continue
             direction = directions.get(pc)
-            if direction is not None and st.taken != direction:
+            if direction is not None and taken != direction:
                 continue
             if vec is None:
-                n = len(steps_static)
+                n = len(static.pcs)
                 vec = [False] * n
                 kinds = [RemovalKind.NONE] * n
                 for j in range(min(n_vec, n)):
@@ -459,19 +470,27 @@ class SlipstreamProcessor:
                 confidence_threshold=self.config.confidence_threshold,
                 removal_triggers=list(self.config.removal_triggers),
             )
-        guard = 0
         limit = self.config.max_instructions
+        # No-progress watchdog.  An iteration that retires nothing always
+        # ends in a recovery, which leaves the A-stream's context equal
+        # to the R-stream's; a second idle iteration in a row therefore
+        # starts from the same state and repeats forever.
+        idle = 0
         while not self.r_state.halted:
+            before = self.retired
             record = self._a_phase()
             self._r_phase(record)
             self._obs_seq += 1
-            guard += 1
+            idle = idle + 1 if self.retired == before else 0
+            if idle == 2:
+                raise SimulationError(
+                    f"{self.program.name}: no forward progress at "
+                    f"r_pc={self.r_pc:#x}, r_seq={self._r_seq}"
+                )
             if self.retired > limit:
                 raise SimulationError(
                     f"{self.program.name}: exceeded {limit} retired instructions"
                 )
-            if guard > limit:
-                raise SimulationError("no forward progress")
         # Final detector drain: train with the remaining traces.
         for analysis in self.detector.drain():
             self._handle_analysis(analysis)
@@ -506,35 +525,34 @@ class SlipstreamProcessor:
             # Defensive: the A-stream believes the program is over while
             # the R-stream is still running; emit an empty group so the
             # R-phase can expose the deviation.
-            record = _ATraceRecord([], TraceId(self.a_pc, ()), False, True)
+            record = _ATraceRecord(self.a_pc, a_halted=True)
             record.available_cycle = self._a_last_retire + self.config.transfer_latency
             return record
 
         prediction = self.ir_predictor.predict()
-        steps_static: Optional[List[PredictedStep]] = None
+        static: Optional[_StaticTrace] = None
         removal: Optional[RemovalPrediction] = None
         charged = False
         if prediction.trace_id is not None:
             if prediction.trace_id.start_pc == self.a_pc:
-                steps_static = self._expand(prediction.trace_id)
-                if steps_static is not None:
+                static = self._expand(prediction.trace_id)
+                if static is not None:
                     if self.config.removal_mechanism == "pc":
                         directions = self._hint_branch_taken
                         vec = tuple(
-                            self.pc_ir.removable(st.pc)
-                            and directions.get(st.pc, st.taken) == st.taken
-                            for st in steps_static
+                            self.pc_ir.removable(pc)
+                            and directions.get(pc, taken) == taken
+                            for pc, taken in zip(static.pcs, static.taken)
                         )
                         if any(vec):
                             removal = RemovalPrediction(
                                 vec,
-                                tuple(self.pc_ir.kind_of(st.pc)
-                                      for st in steps_static),
+                                tuple(self.pc_ir.kind_of(pc) for pc in static.pcs),
                             )
                     else:
                         removal = prediction.removal
                         if self._hint_pcs:
-                            removal = self._apply_hints(steps_static, removal)
+                            removal = self._apply_hints(static, removal)
             else:
                 # Wrong next-trace start PC: a boundary misprediction,
                 # resolved when the previous trace's last instruction
@@ -546,46 +564,39 @@ class SlipstreamProcessor:
                     self._obs.emit("redirect", seq=self._obs_seq,
                                    stream="A", reason="boundary")
 
-        steps, a_halted = self._follow(steps_static, removal, charged)
-        applied = removal is not None
+        record, next_pc = self._follow(static, removal, charged)
+        dyns = record.dyns
 
         obs = self._obs
         if obs is not None:
             obs.emit("predict", seq=self._obs_seq, pc=self.a_pc,
                      predicted=prediction.trace_id is not None,
-                     removal=applied)
-            if applied:
-                by_kind: Dict[str, int] = {}
-                removed = 0
-                for s in steps:
-                    if not s.executed and s.kind:
-                        removed += 1
-                        category = removal_category(s.kind)
-                        by_kind[category] = by_kind.get(category, 0) + 1
-                if removed:
-                    obs.emit("removal", seq=self._obs_seq,
-                             removed=removed, by_kind=by_kind)
+                     removal=removal is not None)
+            by_kind: Dict[str, int] = {}
+            for dyn, kind in zip(dyns, record.kinds or ()):
+                if dyn is None and kind:
+                    category = CATEGORY_OF[kind]
+                    by_kind[category] = by_kind.get(category, 0) + 1
+            if by_kind:
+                obs.emit("removal", seq=self._obs_seq,
+                         removed=sum(by_kind.values()), by_kind=by_kind)
 
-        followed_tid = _trace_id_of_steps(steps, self.a_pc)
-        self._schedule_a_trace(steps)
-        record = _ATraceRecord(steps, followed_tid, applied, a_halted)
-
-        # Advance the A-stream PC past the trace.
-        if steps:
-            self.a_pc = _next_pc_of(steps[-1])
+        self._schedule_a_trace(record)
+        self.a_pc = next_pc
 
         # Push outcomes into the delay buffer; backpressure stalls the
         # A-stream's subsequent fetch until the R-stream drains.
         # Entries stream into the FIFO as the A-stream retires them, so
         # the R-stream may start on the group as soon as its *first*
         # entry arrives (per-instruction availability comes from each
-        # step's ``a_retire``); a backpressured push delays the whole
-        # group conservatively.
-        executed_count = sum(1 for s in steps if s.executed)
+        # position's ``a_retire``); a backpressured push delays the
+        # whole group conservatively.
+        executed_count = len(dyns) - dyns.count(None)
         push_cycle = self.delay_buffer.push(max(executed_count, 1), self._a_last_retire)
         record.pushed = True
         first_retire = next(
-            (s.a_retire for s in steps if s.executed), self._a_last_retire
+            (r for d, r in zip(dyns, record.a_retire) if d is not None),
+            self._a_last_retire,
         )
         if push_cycle > self._a_last_retire:
             if obs is not None:
@@ -597,26 +608,27 @@ class SlipstreamProcessor:
         record.available_cycle = first_retire + self.config.transfer_latency
         return record
 
-    def _expand(self, tid: TraceId) -> Optional[List[PredictedStep]]:
-        steps = self._expansion_cache.get(tid)
-        if steps is not None:
-            return steps
+    def _expand(self, tid: TraceId) -> Optional[_StaticTrace]:
+        static = self._expansion_cache.get(tid)
+        if static is not None:
+            return static
         try:
-            steps = self.walker.expand(tid)
+            static = _StaticTrace(self.walker.expand(tid))
         except TraceExpansionError:
             return None
         if len(self._expansion_cache) > (1 << 16):
             self._expansion_cache.clear()
-        self._expansion_cache[tid] = steps
-        return steps
+        self._expansion_cache[tid] = static
+        return static
 
     def _follow(
         self,
-        steps_static: Optional[List[PredictedStep]],
+        static: Optional[_StaticTrace],
         removal: Optional[RemovalPrediction],
         charged: bool,
-    ) -> Tuple[List[_FollowedStep], bool]:
-        """Fetch/execute one *canonical* A-stream trace.
+    ) -> Tuple[_ATraceRecord, int]:
+        """Fetch/execute one *canonical* A-stream trace; returns its
+        outcome group and the PC that follows it.
 
         The trace always runs to the static selection policy's boundary
         (``trace_length`` instructions, or an indirect jump / halt), so
@@ -630,44 +642,49 @@ class SlipstreamProcessor:
         directly with sequential/BTB fetch, charging at most one
         misprediction at the first point such fetch would lose.
         """
-        steps: List[_FollowedStep] = []
-        steps_append = steps.append
-        pc = self.a_pc
-        diverged = steps_static is None
-        n_static = len(steps_static) if steps_static is not None else 0
-        ir_vec = removal.ir_vec if removal is not None else None
-        n_vec = len(ir_vec) if ir_vec is not None else 0
-        # Execution is inlined (formerly ``_a_execute``) with stream
-        # state hoisted into locals: this loop runs once per A-stream
-        # instruction, second only to ``_r_phase``.
+        start_pc = pc = self.a_pc
+        record = _ATraceRecord(start_pc,
+                               removal.kinds if removal is not None else None)
+        pcs_append = record.pcs.append
+        dyns_append = record.dyns.append
+        pred_append = record.pred_taken.append
+        outcomes_append = record.outcomes.append
+        live = 0  # the prediction holds at positions below ``live``
+        if static is not None:
+            s_pcs, s_taken, s_next = static.pcs, static.taken, static.next_pcs
+            s_branch, s_removable = static.branch, static.removable
+            live = len(s_pcs)
+        ir_vec, kinds = removal if removal is not None else ((), ())
+        n_vec = len(ir_vec)
+        # Execution is inlined with stream state hoisted into locals:
+        # this loop runs once per A-stream instruction, second only to
+        # ``_r_phase``.
         a_state = self.a_state
         funcs = self._step_funcs
         funcs_get = funcs.get if funcs is not None else None
         program = self.program
         a_seq = self._a_seq
-        a_executed = 0
+        a_removed = 0
         fault_hook = self.fault_hook
         track_undo = self.recovery.track_undo
-        followed = _FollowedStep
+        category_of = CATEGORY_OF
         removed_by_category = self.removed_by_category
-        halted = False
         for index in range(self.config.trace_length):
-            st: Optional[PredictedStep] = None
-            if not diverged and index < n_static:
-                st = steps_static[index]
-            if st is not None and ir_vec is not None \
-                    and index < n_vec and ir_vec[index] \
-                    and st.instr.klass not in _NEVER_REMOVED:
-                kind = removal.kinds[index]
-                step = followed(st.pc, st.instr, False, kind=kind,
-                                pred_taken=st.taken)
-                steps_append(step)
-                self.a_removed += 1
-                category = removal_category(kind)
+            predicted = index < live
+            if predicted and index < n_vec and ir_vec[index] \
+                    and s_removable[index]:
+                pcs_append(s_pcs[index])
+                dyns_append(None)
+                taken = s_taken[index]
+                pred_append(taken)
+                if s_branch[index]:
+                    outcomes_append(taken)
+                a_removed += 1
+                category = category_of[kinds[index]]
                 removed_by_category[category] = (
                     removed_by_category.get(category, 0) + 1
                 )
-                pc = _next_pc_of(step)
+                pc = s_next[index]
                 continue
             # Execute one instruction in the A-stream's context; a fault
             # means corrupt state drove the A-stream onto an invalid
@@ -683,49 +700,47 @@ class SlipstreamProcessor:
             except (ExecutionError, ValueError, IndexError):
                 break
             a_seq += 1
-            a_executed += 1
             if fault_hook is not None:
                 dyn = fault_hook("A", dyn, a_state, True)
-            if dyn.is_store and dyn.mem_addr is not None:
+            instr = dyn.instr
+            if instr.is_store and dyn.mem_addr is not None:
                 track_undo(dyn.mem_addr)
-            step = followed(pc, dyn.instr, True, dyn=dyn,
-                            pred_taken=st.taken if st is not None else dyn.taken)
-            steps_append(step)
-            if a_state.halted:
-                halted = True
-                break
-            if st is not None:
-                if dyn.instr.is_branch and dyn.taken != st.taken:
-                    # Conventional misprediction, detected by the
-                    # A-stream: fetch redirects; the trace continues to
-                    # its canonical boundary without the prediction.
-                    diverged = True
-                    if not charged:
-                        step.mispredicted = True
-                        self.branch_mispredictions += 1
-                        charged = True
-                        if self._obs is not None:
-                            self._obs.emit("redirect", seq=self._obs_seq,
-                                           stream="A", reason="outcome")
-            else:
-                if not charged and (
-                    (dyn.instr.is_branch and dyn.taken)
-                    or dyn.instr.klass is InstrClass.JUMP_INDIRECT
-                ):
-                    step.mispredicted = True
-                    self.branch_mispredictions += 1
-                    charged = True
-                    if self._obs is not None:
-                        self._obs.emit("redirect", seq=self._obs_seq,
-                                       stream="A", reason="unpredicted")
-            if dyn.instr.klass in (InstrClass.JUMP_INDIRECT, InstrClass.HALT):
-                break
+            taken = dyn.taken
+            pcs_append(pc)
+            dyns_append(dyn)
+            pred_append(s_taken[index] if predicted else taken)
+            if instr.is_branch:
+                outcomes_append(taken)
             pc = dyn.next_pc
+            if a_state.halted:
+                record.a_halted = True
+                break
+            if predicted:
+                # A conventional misprediction, detected by the A-stream:
+                # fetch redirects; the trace continues to its canonical
+                # boundary without the prediction.
+                lost = instr.is_branch and taken != s_taken[index]
+                if lost:
+                    live = 0
+            else:
+                lost = ((instr.is_branch and taken)
+                        or instr.klass is InstrClass.JUMP_INDIRECT)
+            if lost and not charged:
+                record.mispredicted = index
+                self.branch_mispredictions += 1
+                charged = True
+                if self._obs is not None:
+                    self._obs.emit("redirect", seq=self._obs_seq, stream="A",
+                                   reason="outcome" if predicted else "unpredicted")
+            if instr.klass in (InstrClass.JUMP_INDIRECT, InstrClass.HALT):
+                break
+        self.a_executed += a_seq - self._a_seq
         self._a_seq = a_seq
-        self.a_executed += a_executed
-        return steps, halted
+        self.a_removed += a_removed
+        record.followed_tid = TraceId(start_pc, tuple(record.outcomes))
+        return record, pc
 
-    def _schedule_a_trace(self, steps: List[_FollowedStep]) -> None:
+    def _schedule_a_trace(self, record: _ATraceRecord) -> None:
         """Schedule the A-stream's executed instructions with
         chunk-skipping fetch: blocks break at taken control transfers
         (executed or presumed) and at the fetch width, and continue
@@ -784,9 +799,12 @@ class SlipstreamProcessor:
         adc_sets, adc_lb = adc._sets, adc._line_bytes
         adc_ns, adc_assoc = adc._num_sets, adc._assoc
         adc_stamp, adc_acc, adc_misses = adc._stamp, 0, 0
-        for step in steps:
-            if step.executed:
-                dyn = step.dyn
+        dyns = record.dyns
+        pred_taken = record.pred_taken
+        mispredicted = record.mispredicted
+        record.a_retire = a_retire = [0] * len(dyns)
+        for i, dyn in enumerate(dyns):
+            if dyn is not None:
                 pc = dyn.pc
                 meta = sched_meta.get(pc)
                 if meta is None:
@@ -897,8 +915,8 @@ class SlipstreamProcessor:
                 # --- end inlined scheduler ---
                 a_last_complete = complete
                 a_last_retire = as_retire_cycle
-                step.a_retire = as_retire_cycle
-                if step.mispredicted:
+                a_retire[i] = as_retire_cycle
+                if i == mispredicted:
                     # Inlined OoOScheduler.redirect.
                     floor = complete + 1 + redirect_penalty
                     if floor > as_next_block_cycle:
@@ -907,7 +925,8 @@ class SlipstreamProcessor:
                     block_pending = True
                 taken = dyn.taken
             else:
-                taken = step.pred_taken and step.instr.is_control
+                # Only a control transfer is ever predicted taken.
+                taken = pred_taken[i]
             if taken:
                 block_pending = True
         self._a_block_pending = block_pending
@@ -958,9 +977,9 @@ class SlipstreamProcessor:
         sched_meta_get = self._sched_meta.get
         # Scheduler pass inlined (same logic as OoOScheduler.add_args,
         # which documents it, specialized: fetch_floor is always 0 and
-        # merged == step.executed here).  Mutable containers are shared
-        # in place; scalar state lives in locals until the writeback
-        # after the loop.
+        # merged means the A-stream executed the position).  Mutable
+        # containers are shared in place; scalar state lives in locals
+        # until the writeback after the loop.
         rsc = self.r_sched
         rs_overhead_num, rs_overhead_den = rsc._overhead_num, rsc._overhead_den
         rs_overhead_acc = rsc._overhead_acc
@@ -1011,10 +1030,11 @@ class SlipstreamProcessor:
         executed_append = executed.append
         branch_ok_append = branch_ok.append
 
-        for step in record.steps:
+        for step_pc, a_dyn, pred_taken, a_retire in zip(
+                record.pcs, record.dyns, record.pred_taken, record.a_retire):
             if r_state.halted:
                 break
-            if r_pc != step.pc:
+            if r_pc != step_pc:
                 # Control deviation the A-stream did not know about
                 # (removed mispredicted branch, or corrupt A context).
                 deviation = ("control", last_complete)
@@ -1026,7 +1046,7 @@ class SlipstreamProcessor:
                 dyn = execute_one(program, r_state, r_pc, seq=r_seq)
             r_seq += 1
             retired += 1
-            step_executed = step.executed
+            step_executed = a_dyn is not None
             if fault_hook is not None:
                 dyn = fault_hook("R", dyn, r_state, step_executed)
 
@@ -1102,7 +1122,7 @@ class SlipstreamProcessor:
                 if t > ready:
                     ready = t
             if step_executed:
-                override = step.a_retire + transfer_latency
+                override = a_retire + transfer_latency
                 if override < available:
                     override = available
                 accelerated = override < ready
@@ -1166,10 +1186,9 @@ class SlipstreamProcessor:
             # --- end inlined scheduler ---
             last_complete = complete
             executed_append(dyn)
-            branch_ok_append(not is_branch or taken == step.pred_taken)
+            branch_ok_append(not is_branch or taken == pred_taken)
 
-            if step_executed:
-                a_dyn = step.dyn
+            if a_dyn is not None:
                 # Redundant-instruction comparison, inlined _mismatch.
                 if (a_dyn.value != dyn.value
                         or a_dyn.mem_addr != mem_addr
@@ -1181,7 +1200,7 @@ class SlipstreamProcessor:
                 if is_store and a_dyn.mem_addr is not None:
                     recovery.untrack_undo(a_dyn.mem_addr)
             else:
-                if is_branch and taken != step.pred_taken:
+                if is_branch and taken != pred_taken:
                     # A removed branch whose presumed outcome was wrong.
                     deviation = ("control", last_complete)
                     r_pc = dyn.next_pc
@@ -1228,7 +1247,7 @@ class SlipstreamProcessor:
         # Feed the IR-detector with what the R-stream actually retired,
         # train the IR-predictor, and verify outstanding ir-vecs.
         if executed:
-            if deviation is None and len(executed) == len(record.steps):
+            if deviation is None and len(executed) == len(record.pcs):
                 # Every followed step retired with no PC, value or
                 # removed-branch mismatch, so the retired path is the
                 # followed one: same start PC, same branch outcomes.
@@ -1236,7 +1255,7 @@ class SlipstreamProcessor:
             else:
                 actual_tid = trace_id_of(executed)
             self.ir_predictor.update_path(actual_tid)
-            if record.applied_removal and deviation is None:
+            if record.kinds is not None and deviation is None:
                 # Hint-removed instructions are exempt from the ir-vec
                 # verification: the dynamic detector can *miss* a
                 # statically-proven fact (bounded scope), never refute
@@ -1244,8 +1263,8 @@ class SlipstreamProcessor:
                 # checked architecturally in the R-phase.
                 hint_pcs = self._hint_pcs
                 self._pending_vec_checks[self._detector_seq] = [
-                    not s.executed and s.pc not in hint_pcs
-                    for s in record.steps
+                    d is None and pc not in hint_pcs
+                    for d, pc in zip(record.dyns, record.pcs)
                 ]
             analyses = self.detector.feed_trace(CompletedTrace(executed, actual_tid))
             self._detector_seq += 1
@@ -1255,7 +1274,7 @@ class SlipstreamProcessor:
                     deviation = ("ir_detector", last_complete)
 
         if deviation is None and not self.r_state.halted:
-            if record.a_halted or not record.steps:
+            if record.a_halted or not record.pcs:
                 # The A-stream halted or stalled on a wrong path.
                 deviation = ("control", last_complete)
 
@@ -1374,24 +1393,3 @@ class SlipstreamProcessor:
             obs.emit("cache", cache=name, accesses=cache.accesses,
                      hits=cache.hits, misses=cache.misses)
         obs.emit("summary", counters=registry.snapshot())
-
-
-def _trace_id_of_steps(steps: List[_FollowedStep], start_pc: int) -> TraceId:
-    """Trace id of the path the A-stream followed — presumed outcomes of
-    removed branches included (the delay buffer conveys the complete
-    control history as determined by the A-stream, right or wrong)."""
-    outcomes = []
-    for step in steps:
-        if step.instr.is_branch:
-            outcomes.append(step.dyn.taken if step.executed else step.pred_taken)
-    return TraceId(start_pc, tuple(outcomes))
-
-
-def _next_pc_of(step: _FollowedStep) -> int:
-    if step.executed:
-        return step.dyn.next_pc
-    if step.instr.is_branch:
-        return step.instr.target if step.pred_taken else step.pc + WORD
-    if step.instr.klass is InstrClass.JUMP:
-        return step.instr.target
-    return step.pc + WORD

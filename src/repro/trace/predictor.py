@@ -116,6 +116,11 @@ class TracePredictor:
         self._correlated = _Table(size, self.config.counter_max)
         self._simple = _Table(size, self.config.counter_max)
         self._history: Deque[TraceId] = deque(maxlen=self.config.path_depth)
+        #: ``mix()`` of each history id, computed once as it enters.
+        self._digests: Deque[int] = deque(maxlen=self.config.path_depth)
+        #: (correlated, simple) table indices of the current history;
+        #: None once the history changes.
+        self._indices: Optional[Tuple[int, int]] = None
         self.lookups = 0
         self.correlated_hits = 0
 
@@ -123,26 +128,28 @@ class TracePredictor:
     # Indexing.
     # ------------------------------------------------------------------
 
-    def _correlated_index(self) -> int:
-        """Hash the path history, favouring recent trace ids.
+    def _index_pair(self) -> Tuple[int, int]:
+        """The (correlated, simple) table indices of the path history.
 
-        The most recent id contributes all of its bits; each older id is
-        truncated harder and shifted, so recent path information
-        dominates the index (as in the DOLC scheme of [13]).
+        The correlated index hashes the history, favouring recent trace
+        ids: the most recent id contributes all of its bits; each older
+        id is truncated harder and shifted, so recent path information
+        dominates the index (as in the DOLC scheme of [13]).  The simple
+        index is the most recent id alone.  Both are computed once per
+        history (a lookup and the update that follows it share them).
         """
-        mask = self.config.table_size - 1
-        acc = 0
-        for age, tid in enumerate(reversed(self._history)):
-            digest = tid.mix()
-            keep_bits = max(self.config.index_bits - 2 * age, 4)
-            acc ^= (digest & ((1 << keep_bits) - 1)) << (age & 0x3)
-        return acc & mask
-
-    def _simple_index(self) -> int:
-        mask = self.config.table_size - 1
-        if not self._history:
-            return 0
-        return self._history[-1].mix() & mask
+        indices = self._indices
+        if indices is None:
+            index_bits = self.config.index_bits
+            mask = self.config.table_size - 1
+            acc = simple = 0
+            for age, digest in enumerate(reversed(self._digests)):
+                if not age:
+                    simple = digest & mask
+                keep_bits = max(index_bits - 2 * age, 4)
+                acc ^= (digest & ((1 << keep_bits) - 1)) << (age & 0x3)
+            indices = self._indices = (acc & mask, simple)
+        return indices
 
     # ------------------------------------------------------------------
     # Prediction / update.
@@ -156,7 +163,8 @@ class TracePredictor:
         Returns ``Lookup(None, None)`` when untrained.
         """
         self.lookups += 1
-        correlated = self._correlated.lookup(self._correlated_index())
+        correlated_index, simple_index = self._index_pair()
+        correlated = self._correlated.lookup(correlated_index)
         if (
             correlated is not None
             and correlated.trace_id is not None
@@ -164,7 +172,7 @@ class TracePredictor:
         ):
             self.correlated_hits += 1
             return Lookup(correlated.trace_id, correlated)
-        simple = self._simple.lookup(self._simple_index())
+        simple = self._simple.lookup(simple_index)
         if simple is not None and simple.trace_id is not None:
             return Lookup(simple.trace_id, simple)
         return Lookup(None, None)
@@ -177,9 +185,12 @@ class TracePredictor:
         """Train both tables with the actual next trace, then shift it
         into the path history.  Returns the (correlated, simple) entries
         updated — the IR-predictor trains removal state on them."""
-        correlated = self._correlated.update(self._correlated_index(), actual)
-        simple = self._simple.update(self._simple_index(), actual)
+        correlated_index, simple_index = self._index_pair()
+        correlated = self._correlated.update(correlated_index, actual)
+        simple = self._simple.update(simple_index, actual)
         self._history.append(actual)
+        self._digests.append(actual.mix())
+        self._indices = None
         return correlated, simple
 
     # ------------------------------------------------------------------
@@ -193,3 +204,6 @@ class TracePredictor:
         """Back the predictor up to a precise point (IR-misprediction
         recovery re-synchronises the predictor to the R-stream's PC)."""
         self._history = deque(snapshot, maxlen=self.config.path_depth)
+        self._digests = deque((tid.mix() for tid in snapshot),
+                              maxlen=self.config.path_depth)
+        self._indices = None

@@ -20,24 +20,102 @@ model:
   pass then gives every redundantly executed slot its delay-buffer
   arrival as ``override=`` and ``merged=True``.
 
+Both overrides read the delay-buffer outcome group through
+:func:`followed_steps`, which restates its columns as one
+:class:`FollowedStep` per position and checks them against the
+per-step definitions: each step's PC is its predecessor's successor
+(:func:`next_pc_of`: the executed record's ``next_pc``, or a removed
+instruction's static successor under its presumed outcome), the
+followed trace id is the path's start PC plus its branch outcomes
+(:func:`trace_id_of_steps`, presumed outcomes included), and the one
+charged misprediction sits on an executed step.  A fault in the fused
+A-phase's column bookkeeping therefore fails the differential too.
+
 Everything else (A-stream execution, IR-detector, IR-predictor,
 recovery) is inherited, so a differential against the fused loops
-compares the timing paths and nothing else.  Nothing in ``src/``
-imports this module; ``tests/test_slipstream_timing_reference.py``
-holds the differentials.
+compares the timing paths and the outcome-group columns, nothing else.
+Nothing in ``src/`` imports this module;
+``tests/test_slipstream_timing_reference.py`` holds the differentials.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.arch.executor import DynInstr, execute_one
 from repro.core.slipstream import SlipstreamProcessor
+from repro.isa.instructions import InstrClass, Instruction, WORD
+from repro.isa.program import Program
+from repro.trace.trace_id import TraceId
 from repro.uarch.cache import Cache
 from repro.uarch.config import CoreConfig
 from repro.uarch.fetch import BlockFormer
 from repro.uarch.latencies import latency_of
 from repro.uarch.scheduler import OoOScheduler, Timestamps
+
+
+@dataclass
+class FollowedStep:
+    """One position of an outcome group, as a single object."""
+
+    pc: int
+    instr: Instruction
+    dyn: Optional[DynInstr]  # None: removed
+    pred_taken: bool
+    mispredicted: bool
+
+    @property
+    def executed(self) -> bool:
+        return self.dyn is not None
+
+
+def next_pc_of(step: FollowedStep) -> int:
+    """The PC the A-stream fetched after ``step``."""
+    if step.dyn is not None:
+        return step.dyn.next_pc
+    if step.instr.is_branch:
+        return step.instr.target if step.pred_taken else step.pc + WORD
+    if step.instr.klass is InstrClass.JUMP:
+        return step.instr.target
+    return step.pc + WORD
+
+
+def trace_id_of_steps(steps: List[FollowedStep], start_pc: int) -> TraceId:
+    """Trace id of the followed path, presumed outcomes included."""
+    outcomes = []
+    for step in steps:
+        if step.instr.is_branch:
+            outcomes.append(step.dyn.taken if step.dyn is not None
+                            else step.pred_taken)
+    return TraceId(start_pc, tuple(outcomes))
+
+
+def followed_steps(program: Program, record) -> List[FollowedStep]:
+    """The outcome group's columns as steps, checked per step."""
+    n = len(record.pcs)
+    assert len(record.dyns) == len(record.pred_taken) == n
+    steps = []
+    for i, (pc, dyn, taken) in enumerate(
+            zip(record.pcs, record.dyns, record.pred_taken)):
+        if dyn is not None:
+            assert dyn.pc == pc
+            instr = dyn.instr
+        else:
+            instr = program.at(pc)
+            assert record.kinds is not None and record.kinds[i]
+            assert instr.klass not in (InstrClass.JUMP_INDIRECT,
+                                       InstrClass.OUT, InstrClass.HALT)
+        if steps:
+            assert pc == next_pc_of(steps[-1]), (i, pc)
+        steps.append(FollowedStep(pc, instr, dyn, taken,
+                                  i == record.mispredicted))
+    assert record.mispredicted == -1 or steps[record.mispredicted].executed
+    start_pc = record.followed_tid.start_pc
+    assert not steps or steps[0].pc == start_pc
+    assert trace_id_of_steps(steps, start_pc) == record.followed_tid
+    assert tuple(record.outcomes) == record.followed_tid.outcomes
+    return steps
 
 
 def _schedule(
@@ -77,10 +155,11 @@ def _former(fetch_width: int, count: int, pending: bool) -> BlockFormer:
 class ReferenceSlipstreamProcessor(SlipstreamProcessor):
     """Slipstream with both streams scheduled through the reference calls."""
 
-    def _schedule_a_trace(self, steps) -> None:
+    def _schedule_a_trace(self, record) -> None:
         former = _former(self.a_core.fetch_width, self._a_block_count,
                          self._a_block_pending)
-        for step in steps:
+        record.a_retire = a_retire = [0] * len(record.pcs)
+        for i, step in enumerate(followed_steps(self.program, record)):
             if not step.executed:
                 # Removed instructions take no fetch slot, but a
                 # presumed-taken removed transfer still ends the block.
@@ -89,7 +168,7 @@ class ReferenceSlipstreamProcessor(SlipstreamProcessor):
                 continue
             ts = _schedule(self.a_sched, self.a_core, self.a_icache,
                            self.a_dcache, former, step.dyn)
-            step.a_retire = ts.retire
+            a_retire[i] = ts.retire
             self._a_last_complete = ts.complete
             self._a_last_retire = ts.retire
             if step.mispredicted:
@@ -107,7 +186,8 @@ class ReferenceSlipstreamProcessor(SlipstreamProcessor):
         branch_ok: List[bool] = []
         dev_kind: Optional[str] = None
         funcs = self._step_funcs
-        for step in record.steps:
+        steps = followed_steps(self.program, record)
+        for step in steps:
             if self.r_state.halted:
                 break
             if self.r_pc != step.pc:
@@ -152,10 +232,10 @@ class ReferenceSlipstreamProcessor(SlipstreamProcessor):
                          self._r_block_break)
         transfer_latency = self.config.transfer_latency
         last_complete = self.r_sched.total_cycles
-        for dyn, step in zip(executed, record.steps):
+        for dyn, step, a_retire in zip(executed, steps, record.a_retire):
             override = None
             if step.executed:
-                override = max(step.a_retire + transfer_latency, available)
+                override = max(a_retire + transfer_latency, available)
             ts = _schedule(self.r_sched, self.r_core, self.r_icache,
                            self.r_dcache, former, dyn, override)
             last_complete = ts.complete

@@ -288,6 +288,27 @@ class TestSlipstreamTrace:
         assert by_kind == {k: v for k, v in
                            result.removed_by_category.items() if v}
 
+    def test_removal_by_kind_matches_result_with_removal(self, tmp_path):
+        """The jpeg trace above removes nothing; m88ksim removes most of
+        its instructions, so every ``removal`` event's ``by_kind`` (read
+        from the outcome group's ``kinds`` column) is exercised."""
+        path = tmp_path / "m88ksim.jsonl"
+        obs = for_path(path)
+        result = SlipstreamProcessor(
+            get_benchmark("m88ksim").program(1),
+            slipstream_spec("m88ksim").config, obs=obs,
+        ).run()
+        obs.close()
+        removals = [e for e in read_trace(path) if e["t"] == "removal"]
+        by_kind = {}
+        for event in removals:
+            assert sum(event["by_kind"].values()) == event["removed"]
+            for kind, count in event["by_kind"].items():
+                by_kind[kind] = by_kind.get(kind, 0) + count
+        assert result.a_removed > 0
+        assert sum(e["removed"] for e in removals) == result.a_removed
+        assert by_kind == result.removed_by_category
+
     def test_summary_counters_match_result(self, slip_trace):
         result, events, _ = slip_trace
         counters = events[-1]["counters"]

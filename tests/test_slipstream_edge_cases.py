@@ -1,9 +1,15 @@
 """Edge-case and stress tests for the slipstream co-simulation."""
 
+import time
+
 import pytest
 
 from repro.arch.functional import FunctionalSimulator
-from repro.core.slipstream import SlipstreamConfig, SlipstreamProcessor
+from repro.core.slipstream import (
+    SimulationError,
+    SlipstreamConfig,
+    SlipstreamProcessor,
+)
 from repro.isa.assembler import assemble
 
 
@@ -253,3 +259,32 @@ class TestBufferAndTransfer:
             transfer_latency=20,
         )
         assert result.r_cycles >= result.a_cycles
+
+
+TRAPPING = "addi r5, r0, 3\nlw r6, 0(r5)\nout r6\nhalt"
+
+
+class TestNoProgressWatchdog:
+    """A run that retires nothing twice in a row is livelocked; it must
+    raise promptly instead of spinning."""
+
+    def _raises_quickly(self, program, config=None):
+        start = time.monotonic()
+        with pytest.raises(SimulationError, match="no forward progress") as info:
+            SlipstreamProcessor(program, config).run()
+        assert time.monotonic() - start < 1.0
+        return str(info.value)
+
+    def test_trapping_load(self):
+        # The functional simulator traps on the unaligned load at once.
+        with pytest.raises(ValueError, match="unaligned"):
+            FunctionalSimulator(assemble(TRAPPING, name="stuck")).run()
+        program = assemble(TRAPPING, name="stuck")
+        message = self._raises_quickly(program)
+        # The addi retired; the R-stream is parked on the load.
+        assert message == (f"stuck: no forward progress at "
+                           f"r_pc={program.entry + 4:#x}, r_seq=1")
+
+    def test_zero_trace_length(self):
+        self._raises_quickly(assemble("out r0\nhalt", name="stuck"),
+                             SlipstreamConfig(trace_length=0))

@@ -1,5 +1,8 @@
 """Unit tests for the hybrid path-based trace predictor."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.trace.predictor import TracePredictor, TracePredictorConfig
 from repro.trace.trace_id import TraceId
 
@@ -90,3 +93,71 @@ class TestRecoverySupport:
             pred.update(tid(n))
         pred.restore_history(snap)
         assert pred.predict() == prediction_before
+
+
+def reference_indices(pred):
+    """The (correlated, simple) indices, recomputed from the history."""
+    config = pred.config
+    mask = config.table_size - 1
+    history = pred.history_snapshot()
+    correlated = 0
+    for age, t in enumerate(reversed(history)):
+        keep_bits = max(config.index_bits - 2 * age, 4)
+        correlated ^= (t.mix() & ((1 << keep_bits) - 1)) << (age & 0x3)
+    simple = history[-1].mix() & mask if history else 0
+    return correlated & mask, simple
+
+
+class RecomputingPredictor(TracePredictor):
+    """Computes the index pair afresh on every call."""
+
+    def _index_pair(self):
+        return reference_indices(self)
+
+
+def _entry_state(entry):
+    return None if entry is None else (entry.trace_id, entry.counter)
+
+
+_ops = st.lists(
+    st.one_of(
+        st.just(("lookup",)),
+        st.tuples(st.just("update"), st.integers(0, 5),
+                  st.lists(st.booleans(), max_size=3)),
+        st.tuples(st.just("snapshot")),
+        st.tuples(st.just("restore"), st.integers(0, 3)),
+    ),
+    max_size=80,
+)
+
+
+class TestIndexMemo:
+    @given(_ops, st.sampled_from([TracePredictorConfig(),
+                                  TracePredictorConfig(index_bits=6,
+                                                       path_depth=3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_memo_matches_recomputation(self, ops, config):
+        """Any sequence of lookups, updates and history restores gives
+        the same indices, predictions and trained entries as a predictor
+        that recomputes its indices every time."""
+        memo, fresh = TracePredictor(config), RecomputingPredictor(config)
+        snapshots = [[]]
+        for op in ops:
+            if op[0] == "lookup":
+                got, want = memo.lookup(), fresh.lookup()
+                assert got.trace_id == want.trace_id
+                assert _entry_state(got.entry) == _entry_state(want.entry)
+            elif op[0] == "update":
+                actual = tid(op[1], op[2])
+                got_entries, want_entries = memo.update(actual), fresh.update(actual)
+                assert [_entry_state(e) for e in got_entries] == \
+                    [_entry_state(e) for e in want_entries]
+            elif op[0] == "snapshot":
+                snapshots.append(memo.history_snapshot())
+            else:
+                snap = snapshots[op[1] % len(snapshots)]
+                memo.restore_history(snap)
+                fresh.restore_history(snap)
+            assert memo._index_pair() == reference_indices(memo)
+        assert (memo.lookups, memo.correlated_hits) == \
+            (fresh.lookups, fresh.correlated_hits)
