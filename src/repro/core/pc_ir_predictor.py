@@ -75,10 +75,16 @@ class PCIRPredictor:
     # ------------------------------------------------------------------
 
     def removable(self, pc: int) -> bool:
-        """True if this static instruction's removal is confident."""
+        """True if this static instruction's removal is confident.
+
+        An entry needs a removal kind as well: one trained only on
+        unselected instances has none, and at threshold 0 its
+        confidence alone would pass.
+        """
         entry = self._table.get(pc)
         return (
             entry is not None
+            and entry.kind != RemovalKind.NONE
             and entry.confidence >= self.config.confidence_threshold
         )
 

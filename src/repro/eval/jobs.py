@@ -375,6 +375,7 @@ def _simulate_injection(spec: JobSpec):
         baseline_detections=reference.ir_mispredictions,
         ecc=spec.ecc,
         max_instructions=hang_budget(reference.retired),
+        reference_retired=reference.retired,
     )
     result.mode = spec.mode
     return result

@@ -7,6 +7,7 @@ from repro.core.pc_ir_predictor import PCIRPredictor, PCIRPredictorConfig
 from repro.core.removal import RemovalKind
 from repro.core.slipstream import SlipstreamConfig, SlipstreamProcessor
 from repro.isa.assembler import assemble
+from repro.workloads.suite import get_benchmark
 
 
 class TestPCIRPredictor:
@@ -44,6 +45,15 @@ class TestPCIRPredictor:
         assert pred.removable(0x1000)
         assert not pred.removable(0x1004)
         assert pred.confident_pcs == 1
+
+    def test_entry_without_kind_not_removable_at_threshold_zero(self):
+        """An entry only ever trained unselected has no removal kind; a
+        zero threshold must not make it removable."""
+        pred = PCIRPredictor(PCIRPredictorConfig(confidence_threshold=0))
+        pred.train(0x1000, False, RemovalKind.NONE)
+        pred.train(0x1004, True, RemovalKind.WW)
+        assert not pred.removable(0x1000)
+        assert pred.removable(0x1004)
 
 
 class TestPCMechanismEndToEnd:
@@ -86,3 +96,15 @@ class TestPCMechanismEndToEnd:
                 assemble(self.SOURCE, name="pc-mode"),
                 SlipstreamConfig(removal_mechanism="bogus"),
             )
+
+
+@pytest.mark.parametrize("name", ["jpeg", "li"])
+def test_zero_threshold_runs_to_the_functional_output(name):
+    program = get_benchmark(name).program(1)
+    reference = FunctionalSimulator(program).run()
+    result = SlipstreamProcessor(
+        program,
+        SlipstreamConfig(removal_mechanism="pc", confidence_threshold=0),
+    ).run()
+    assert result.output == reference.output
+    assert result.retired == reference.instruction_count
