@@ -72,14 +72,18 @@ class FunctionalSimulator:
     def fresh_state(self) -> ArchState:
         return ArchState(image=self.program.data)
 
-    def steps(self, state: Optional[ArchState] = None) -> Iterator[DynInstr]:
+    def steps(
+        self, state: Optional[ArchState] = None, pc: Optional[int] = None
+    ) -> Iterator[DynInstr]:
         """Yield retired instructions until ``halt`` or the budget runs out.
 
-        The ``halt`` instruction itself is yielded last.
+        Execution starts at ``pc`` (default: the program's entry).  The
+        ``halt`` instruction itself is yielded last.
         """
         if state is None:
             state = self.fresh_state()
-        pc = self.program.entry
+        if pc is None:
+            pc = self.program.entry
         program = self.program
         compiled = self._compiled
         if compiled is not None:
@@ -103,13 +107,18 @@ class FunctionalSimulator:
             f"{self.program.name} exceeded {self.max_instructions} instructions"
         )
 
-    def run(self, state: Optional[ArchState] = None) -> RunResult:
-        """Run to completion, returning final state and retire count."""
+    def run(
+        self, state: Optional[ArchState] = None, pc: Optional[int] = None
+    ) -> RunResult:
+        """Run to completion from ``pc`` (default: the program's entry),
+        returning final state and retire count."""
         if state is None:
             state = self.fresh_state()
+        if pc is None:
+            pc = self.program.entry
         if self._compiled is not None:
             count, halted = self._compiled.run(
-                state, self.program.entry, self.max_instructions
+                state, pc, self.max_instructions
             )
             if not halted:
                 raise InstructionLimitExceeded(
@@ -120,6 +129,6 @@ class FunctionalSimulator:
                 state=state, instruction_count=count, output=state.output
             )
         count = 0
-        for _ in self.steps(state):
+        for _ in self.steps(state, pc):
             count += 1
         return RunResult(state=state, instruction_count=count, output=state.output)
