@@ -18,8 +18,9 @@ interleaves trace-by-trace (push trace *i*, pop trace *i*, push trace
 
 from __future__ import annotations
 
+import copy
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, Dict, Optional
 
 
 class DelayBufferError(Exception):
@@ -56,6 +57,19 @@ class DelayBuffer:
         self.pushes = 0
         self.backpressure_events = 0
         self.max_occupancy = 0
+
+    def fork(self) -> "DelayBuffer":
+        """An independent copy; a group queued both as pushed and as
+        unpopped stays one group in the copy."""
+        forked = copy.copy(self)
+        twins: Dict[_Group, _Group] = {}
+        for group in (*self._groups, *self._unpopped):
+            if group not in twins:
+                twin = twins[group] = _Group(group.count)
+                twin.pop_cycle = group.pop_cycle
+        forked._groups = deque(twins[group] for group in self._groups)
+        forked._unpopped = deque(twins[group] for group in self._unpopped)
+        return forked
 
     @property
     def occupancy(self) -> int:

@@ -61,6 +61,7 @@ layout replaces is kept as the test oracle in
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -132,6 +133,20 @@ class _ScopedTrace:
         self.producers: List[Optional[List[int]]] = [None] * n
         self.consumers: List[Optional[List[int]]] = [None] * n
 
+    def copy(self) -> "_ScopedTrace":
+        twin = _ScopedTrace.__new__(_ScopedTrace)
+        twin.seq = self.seq
+        twin.trace_id = self.trace_id
+        twin.pcs = self.pcs[:]
+        twin.touched = self.touched[:]
+        twin.kind = self.kind[:]
+        twin.killed = self.killed[:]
+        twin.external_ref = self.external_ref[:]
+        twin.removable = self.removable[:]
+        twin.producers = [p if p is None else p[:] for p in self.producers]
+        twin.consumers = [c if c is None else c[:] for c in self.consumers]
+        return twin
+
 
 def _propagate(trace: _ScopedTrace, candidates: List[int]) -> None:
     """Back-propagate selection within ``trace`` from ``candidates``.
@@ -198,6 +213,29 @@ class IRDetector:
         self._br_trigger = "BR" in self.triggers
         self._ww_trigger = "WW" in self.triggers
         self._sv_trigger = "SV" in self.triggers
+
+    def fork(self) -> "IRDetector":
+        """An independent copy of the scope and the rename table.
+
+        A rename-table entry may name a producer trace that has already
+        left the scope; it is copied too, so the copy's entries point
+        only at the copy's traces."""
+        forked = copy.copy(self)
+        twins: Dict[_ScopedTrace, _ScopedTrace] = {}
+
+        def twin(trace: _ScopedTrace) -> _ScopedTrace:
+            copied = twins.get(trace)
+            if copied is None:
+                copied = twins[trace] = trace.copy()
+            return copied
+
+        forked._scope = deque(twin(trace) for trace in self._scope)
+        forked._entries = {
+            operand: [entry[0], twin(entry[1]), entry[2], entry[3], entry[4]]
+            for operand, entry in self._entries.items()
+        }
+        forked._operands = dict(self._operands)
+        return forked
 
     def _operands_of(self, pc: int, instr: Instruction) -> _Operands:
         """Static operand data of ``pc``, memoized per detector."""

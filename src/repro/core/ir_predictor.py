@@ -33,9 +33,10 @@ order).
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, NamedTuple, Optional, Tuple
+from typing import Deque, Dict, NamedTuple, Optional, Tuple
 
 from repro.core.ir_detector import TraceAnalysis
 from repro.core.removal import RemovalKind
@@ -80,6 +81,18 @@ class IRPredictor:
         #: and how many carried a confident removal decision.
         self.predictions = 0
         self.removal_predictions = 0
+
+    def fork(self) -> "IRPredictor":
+        """An independent copy: both tables, the path history and the
+        queued path updates, which point at the copied entries."""
+        forked = copy.copy(self)
+        twins: Dict[Entry, Entry] = {}
+        forked.trace_predictor = self.trace_predictor.fork(twins)
+        forked._pending = deque(
+            (tid, twins[correlated], twins[simple])
+            for tid, correlated, simple in self._pending
+        )
+        return forked
 
     # ------------------------------------------------------------------
     # Front-end interface (A-stream).

@@ -33,6 +33,7 @@ Select it with ``SlipstreamConfig(removal_mechanism="pc")``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict
 
@@ -69,6 +70,17 @@ class PCIRPredictor:
         self._table: Dict[int, _PCEntry] = {}
         self.trainings = 0
         self.resets = 0
+
+    def fork(self) -> "PCIRPredictor":
+        """An independent copy of the table and its tallies."""
+        forked = copy.copy(self)
+        table = forked._table = {}
+        for pc, entry in self._table.items():
+            twin = table[pc] = _PCEntry.__new__(_PCEntry)
+            twin.confidence = entry.confidence
+            twin.kind = entry.kind
+            twin.pinned = entry.pinned
+        return forked
 
     # ------------------------------------------------------------------
     # Front-end interface.

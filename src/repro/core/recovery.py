@@ -22,6 +22,7 @@ registers), then 4 memory restores per cycle — a 21-cycle minimum.
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Set
@@ -65,6 +66,16 @@ class RecoveryController:
         self._do_by_trace: Dict[int, List[int]] = defaultdict(list)
         self.max_outstanding = 0
         self.recoveries = 0
+
+    def fork(self) -> "RecoveryController":
+        """An independent copy of the tracked address sets."""
+        forked = copy.copy(self)
+        forked._undo = defaultdict(int, self._undo)
+        forked._do = defaultdict(int, self._do)
+        forked._do_by_trace = defaultdict(
+            list, {seq: list(addrs) for seq, addrs in self._do_by_trace.items()}
+        )
+        return forked
 
     # ------------------------------------------------------------------
     # Normal-operation bookkeeping.

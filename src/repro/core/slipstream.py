@@ -48,6 +48,7 @@ divided by the cycles for **both** streams to complete (section 5).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, cast
 
@@ -92,6 +93,40 @@ _NEVER_REMOVED = (InstrClass.JUMP_INDIRECT, InstrClass.OUT, InstrClass.HALT)
 
 class SimulationError(Exception):
     """The co-simulation failed to make forward progress."""
+
+
+class ConfigError(ValueError):
+    """A :class:`SlipstreamConfig` field is out of its valid range.
+
+    Carries the offending field name, its value and the valid range,
+    so callers can build precise diagnostics instead of parsing message
+    strings (the style of :class:`repro.core.modes.ModeError`).
+    """
+
+    def __init__(self, field_name: str, value: object, valid: str):
+        self.field = field_name
+        self.value = value
+        self.valid = valid
+        super().__init__(f"SlipstreamConfig.{field_name}={value!r}: {valid}")
+
+
+_REMOVAL_MECHANISMS = ("trace", "pc")
+_REMOVAL_TRIGGERS = ("BR", "WW", "SV")
+
+#: (field, least valid value) of every integer field with a lower bound.
+_LOWER_BOUNDS = (
+    # The run loop and the fault timeline's fork-boundary rule rely on
+    # every trace retiring at least one instruction.
+    ("trace_length", 1),
+    ("ir_scope_traces", 1),
+    ("confidence_threshold", 0),
+    ("delay_buffer_capacity", 1),
+    ("transfer_latency", 0),
+    # Zero read ports cannot dispatch a merged instruction at all; the
+    # scheduler would silently behave as if it had one.
+    ("delay_merge_width", 1),
+    ("max_instructions", 1),
+)
 
 
 @dataclass(frozen=True)
@@ -151,6 +186,25 @@ class SlipstreamConfig:
     decorrelated: bool = False
     predictor: TracePredictorConfig = field(default_factory=TracePredictorConfig)
     max_instructions: int = 50_000_000
+
+    def __post_init__(self) -> None:
+        """Reject an out-of-range field with one :class:`ConfigError`."""
+        for name, least in _LOWER_BOUNDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < least:
+                raise ConfigError(name, value, f"must be an integer >= {least}")
+        if self.removal_mechanism not in _REMOVAL_MECHANISMS:
+            raise ConfigError(
+                "removal_mechanism", self.removal_mechanism,
+                "unknown removal mechanism; must be one of "
+                + ", ".join(_REMOVAL_MECHANISMS),
+            )
+        unknown = [t for t in self.removal_triggers if t not in _REMOVAL_TRIGGERS]
+        if unknown:
+            raise ConfigError(
+                "removal_triggers", self.removal_triggers,
+                "must be a subset of " + ", ".join(_REMOVAL_TRIGGERS),
+            )
 
     def fingerprint(self) -> str:
         """Stable content hash, used in experiment-cache keys.
@@ -301,10 +355,6 @@ class SlipstreamProcessor:
         self._obs = obs
 
         cfg = self.config
-        if cfg.removal_mechanism not in ("trace", "pc"):
-            raise ValueError(
-                f"unknown removal mechanism {cfg.removal_mechanism!r}"
-            )
         self.ir_predictor = IRPredictor(
             IRPredictorConfig(
                 confidence_threshold=cfg.confidence_threshold,
@@ -385,6 +435,9 @@ class SlipstreamProcessor:
         self._detector_seq = 0
         #: Co-simulation iteration index, used only to tag trace events.
         self._obs_seq = 0
+        #: Consecutive iterations that retired nothing (the watchdog in
+        #: :meth:`step`).
+        self._idle = 0
 
     def _seed_static_hints(self) -> None:
         """Pre-warm the per-PC removal table from statically-proven
@@ -470,27 +523,8 @@ class SlipstreamProcessor:
                 confidence_threshold=self.config.confidence_threshold,
                 removal_triggers=list(self.config.removal_triggers),
             )
-        limit = self.config.max_instructions
-        # No-progress watchdog.  An iteration that retires nothing always
-        # ends in a recovery, which leaves the A-stream's context equal
-        # to the R-stream's; a second idle iteration in a row therefore
-        # starts from the same state and repeats forever.
-        idle = 0
         while not self.r_state.halted:
-            before = self.retired
-            record = self._a_phase()
-            self._r_phase(record)
-            self._obs_seq += 1
-            idle = idle + 1 if self.retired == before else 0
-            if idle == 2:
-                raise SimulationError(
-                    f"{self.program.name}: no forward progress at "
-                    f"r_pc={self.r_pc:#x}, r_seq={self._r_seq}"
-                )
-            if self.retired > limit:
-                raise SimulationError(
-                    f"{self.program.name}: exceeded {limit} retired instructions"
-                )
+            self.step()
         # Final detector drain: train with the remaining traces.
         for analysis in self.detector.drain():
             self._handle_analysis(analysis)
@@ -515,6 +549,72 @@ class SlipstreamProcessor:
         if obs is not None:
             self._finalize_obs(obs)
         return result
+
+    def step(self) -> None:
+        """Co-simulate one trace: the A-phase, then the R-phase that
+        consumes its outcome group.  Call only while the R-stream has
+        not halted; the machine is between two traces before and after.
+
+        Each stream executes at most ``trace_length`` instructions per
+        step (the fault timeline's fork-boundary rule relies on it).
+        """
+        before = self.retired
+        record = self._a_phase()
+        self._r_phase(record)
+        self._obs_seq += 1
+        # No-progress watchdog.  An iteration that retires nothing always
+        # ends in a recovery, which leaves the A-stream's context equal
+        # to the R-stream's; a second idle iteration in a row therefore
+        # starts from the same state and repeats forever.
+        self._idle = self._idle + 1 if self.retired == before else 0
+        if self._idle == 2:
+            raise SimulationError(
+                f"{self.program.name}: no forward progress at "
+                f"r_pc={self.r_pc:#x}, r_seq={self._r_seq}"
+            )
+        limit = self.config.max_instructions
+        if self.retired > limit:
+            raise SimulationError(
+                f"{self.program.name}: exceeded {limit} retired instructions"
+            )
+
+    def fork(self) -> "SlipstreamProcessor":
+        """An independent copy of this machine, taken between two traces.
+
+        The copy and this machine then run on without affecting each
+        other: both contexts, both schedulers, the four caches, the
+        IR-predictor and trace-predictor tables, the per-PC removal
+        table, the detector's scope and rename table, the delay buffer,
+        recovery tracking, the statistics and the pending queues are
+        copied.  What no run mutates is shared: the program, the step
+        functions, the scheduling metadata, the trace walker, the
+        static-hint tables, the expanded :class:`_StaticTrace` columns
+        and the config.  The copy keeps this machine's fault hook and
+        has no observability handle.
+        """
+        forked = copy.copy(self)
+        forked._obs = None
+        forked.ir_predictor = self.ir_predictor.fork()
+        forked.pc_ir = self.pc_ir.fork()
+        forked.detector = self.detector.fork()
+        forked.delay_buffer = self.delay_buffer.fork()
+        forked.recovery = self.recovery.fork()
+        forked._expansion_cache = dict(self._expansion_cache)
+        forked.a_sched = self.a_sched.fork()
+        forked.r_sched = self.r_sched.fork()
+        forked.a_icache = self.a_icache.fork()
+        forked.a_dcache = self.a_dcache.fork()
+        forked.r_icache = self.r_icache.fork()
+        forked.r_dcache = self.r_dcache.fork()
+        forked.a_state = self.a_state.fork()
+        forked.r_state = self.r_state.fork()
+        forked.removed_by_category = dict(self.removed_by_category)
+        forked.recovery_log = list(self.recovery_log)
+        forked.detections = dict(self.detections)
+        # The queued values are never mutated once queued.
+        forked._pending_vec_checks = dict(self._pending_vec_checks)
+        forked._pending_branch_ok = list(self._pending_branch_ok)
+        return forked
 
     # ==================================================================
     # A-phase: fetch/execute one trace in the A-stream.

@@ -52,8 +52,9 @@ from repro.fault.coverage import (
     CampaignResult,
     FaultOutcome,
     InjectionResult,
+    release_timeline,
 )
-from repro.fault.injector import FaultSite, TransientFault
+from repro.fault.injector import A_NUMBERED_SITES, FaultSite, TransientFault
 from repro.obs.registry import MetricsRegistry
 from repro.workloads.suite import benchmark_suite
 
@@ -66,11 +67,6 @@ DEFAULT_SITES: Tuple[FaultSite, ...] = (
     FaultSite.R_TRANSIENT,
     FaultSite.R_ARCH,
 )
-
-#: Sequence-number stream each site's strikes are sampled against.
-#: ``CORRELATED`` strikes target the A-stream's numbering (the A-side
-#: hit lands first; its R-stream companion is located by pc + value).
-_A_NUMBERED_SITES = (FaultSite.A_RESULT, FaultSite.CORRELATED)
 
 
 def _default_benchmarks() -> Tuple[str, ...]:
@@ -193,7 +189,7 @@ def sample_points(
             rng = random.Random(stream)
             for index in range(config.points_per_benchmark):
                 site = sites[index % len(sites)]
-                n = lengths["A" if site in _A_NUMBERED_SITES else "R"]
+                n = lengths["A" if site in A_NUMBERED_SITES else "R"]
                 lo = int(n * config.warmup_fraction)
                 seq = rng.randrange(lo, n) if n > lo else 0
                 bit = rng.randrange(32)
@@ -592,10 +588,26 @@ def run_scaled_campaign(
     specs = campaign_specs(config, points)
 
     # Pass 2: the strike points, fanned through the hardened runner.
+    # They are submitted per (mode, benchmark) in order of how far into
+    # the run they strike, so each process's clean timeline
+    # (repro.fault.coverage.CleanTimeline) serves them from one live
+    # machine.  Progress is the target's fraction of its own stream: A-
+    # and R-stream seqs differ by the removed instructions, and a raw-seq
+    # order would put an R-site point behind the machine an A-site point
+    # advanced.  Results are read back in sampling order below.
+    def progress(index: int) -> Tuple[str, str, float]:
+        point = points[index]
+        lengths = stream_lengths[point.mode][point.benchmark]
+        n = lengths["A" if point.fault.site in A_NUMBERED_SITES else "R"]
+        return point.mode, point.benchmark, point.fault.target_seq / max(n, 1)
+
+    order = sorted(range(len(specs)), key=progress)
     try:
-        stats = runner.run(specs)
+        stats = runner.run([specs[index] for index in order])
     except RunnerError as error:
         stats = error.stats
+    finally:
+        release_timeline()
 
     result = ScaledCampaignResult(config=config, points=points)
     for point, spec in zip(points, specs):

@@ -43,14 +43,21 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
+from repro.arch.compiled import resolve_engine
 from repro.arch.functional import FunctionalSimulator
 from repro.core.slipstream import (
     SimulationError,
     SlipstreamConfig,
     SlipstreamProcessor,
+    SlipstreamResult,
 )
 from repro.fault.ecc import ECCModel
-from repro.fault.injector import FaultInjector, FaultSite, TransientFault
+from repro.fault.injector import (
+    A_NUMBERED_SITES,
+    FaultInjector,
+    FaultSite,
+    TransientFault,
+)
 from repro.isa.program import Program
 
 
@@ -221,6 +228,140 @@ def hang_budget(reference_retired: int) -> int:
     return 4 * reference_retired + 10_000
 
 
+class CleanTimeline:
+    """One live fault-free slipstream machine, forked for struck runs.
+
+    A struck run is the clean run up to the strike: until then the
+    injector hands every record back untouched and changes nothing, and
+    ``max_instructions`` only enters the limit check, which the clean
+    prefix never trips.  So instead of re-simulating that prefix, a
+    struck run starts from a :meth:`SlipstreamProcessor.fork` of a live
+    clean machine stopped at a trace boundary before the strike.
+
+    Fork-boundary rule: one :meth:`~SlipstreamProcessor.step` executes
+    at most ``trace_length`` instructions per stream, so the live
+    machine steps while the struck stream's next seq plus
+    ``trace_length`` is still at most the target seq; then no
+    instruction at or past the target has run.  Requests served in
+    ascending target order share one machine; a request behind it
+    (its target already executed) restarts the machine from the
+    program's entry.  The machine advances under the request's config,
+    so a request whose limit the prefix overruns raises where a
+    from-scratch run would.
+
+    The machine handed out is the live one itself, and a fork of it
+    becomes the new live machine: the two are interchangeable.  Any
+    exception while advancing (an inline job timeout can fire
+    mid-trace) drops the live machine.
+    """
+
+    def __init__(self, program: Program, config: SlipstreamConfig, engine: str):
+        self.program = program
+        #: ``config`` with ``max_instructions`` normalised: the key.
+        self.config = _timeline_config(config)
+        self.engine = engine
+        self._live: Optional[SlipstreamProcessor] = None
+        self._started = False
+
+    def clean_result(self, config: SlipstreamConfig) -> SlipstreamResult:
+        """The fault-free run under ``config``: a fork of the live
+        machine run to the end with no hook."""
+        live = self._live
+        if live is None or live.retired > config.max_instructions:
+            live = self._start(config)
+        return self._hand_off(live, config).run()
+
+    def fork_before(self, fault: TransientFault,
+                    config: SlipstreamConfig) -> SlipstreamProcessor:
+        """A clean machine under ``config`` at a trace boundary before
+        ``fault`` strikes (see the fork-boundary rule above)."""
+        if fault.site in A_NUMBERED_SITES:
+            def next_seq(machine: SlipstreamProcessor) -> int:
+                return machine._a_seq
+        else:
+            def next_seq(machine: SlipstreamProcessor) -> int:
+                return machine._r_seq
+        target = fault.target_seq
+        live = self._live
+        if (live is None or next_seq(live) > target
+                or live.retired > config.max_instructions):
+            live = self._start(config)
+        live.config = config
+        step = config.trace_length
+        try:
+            while not live.r_state.halted and next_seq(live) + step <= target:
+                live.step()
+        except BaseException:
+            self._live = None
+            raise
+        return self._hand_off(live, config)
+
+    def _start(self, config: SlipstreamConfig) -> SlipstreamProcessor:
+        if self._started:
+            _TALLY["restarts"] += 1
+        self._started = True
+        _TALLY["starts"] += 1
+        live = self._live = SlipstreamProcessor(self.program, config,
+                                                engine=self.engine)
+        return live
+
+    def _hand_off(self, live: SlipstreamProcessor,
+                  config: SlipstreamConfig) -> SlipstreamProcessor:
+        self._live = live.fork()
+        _TALLY["forks"] += 1
+        _TALLY["skipped_instructions"] += live.retired
+        live.config = config
+        return live
+
+
+#: Process-wide timeline tallies (see :func:`timeline_snapshot`).
+_TALLY: Dict[str, int] = {
+    "starts": 0, "restarts": 0, "forks": 0, "skipped_instructions": 0,
+}
+
+#: The process's one timeline (at most one live clean machine).
+_TIMELINE: Optional[CleanTimeline] = None
+
+
+def _timeline_config(config: SlipstreamConfig) -> SlipstreamConfig:
+    return replace(config, max_instructions=SlipstreamConfig.max_instructions)
+
+
+def clean_timeline(program: Program, config: SlipstreamConfig) -> CleanTimeline:
+    """The process's timeline for ``program`` (by identity), ``config``
+    (``max_instructions`` aside) and the selected engine; it replaces
+    the previous timeline if that was for anything else."""
+    global _TIMELINE
+    timeline = _TIMELINE
+    engine = resolve_engine(None)
+    if (timeline is None or timeline.program is not program
+            or timeline.engine != engine
+            or timeline.config != _timeline_config(config)):
+        timeline = _TIMELINE = CleanTimeline(program, config, engine)
+    return timeline
+
+
+def release_timeline() -> None:
+    """Drop the process's timeline and its live machine."""
+    global _TIMELINE
+    _TIMELINE = None
+
+
+def timeline_snapshot() -> Dict[str, int]:
+    """Process-wide timeline tallies since :func:`reset_timeline_tally`:
+    machines started from the program's entry (``starts``), of which
+    ``restarts`` were a timeline's second or later, ``forks`` handed
+    out, and ``skipped_instructions``, the R-stream retirements those
+    forks did not re-simulate.  Observers only: no result, payload or
+    cache reads them."""
+    return dict(_TALLY)
+
+
+def reset_timeline_tally() -> None:
+    for name in _TALLY:
+        _TALLY[name] = 0
+
+
 def inject_one(
     program: Program,
     fault: TransientFault,
@@ -249,10 +390,20 @@ def inject_one(
     retires past the clean run's length
     (:meth:`~repro.fault.injector.FaultInjector._prove_hang`); the
     result is the one the full co-simulation would give.
+
+    The clean run and the struck run both start from the process's
+    :class:`CleanTimeline` for ``program`` and ``config``: the struck
+    run is a fork of a live clean machine taken just before the strike,
+    so injections served in ascending target order simulate the
+    fault-free prefix once between them.  The result is the one
+    ``SlipstreamProcessor(program, config, fault_hook=injector).run()``
+    gives.
     """
+    run_config = config if config is not None else SlipstreamConfig()
+    timeline = clean_timeline(program, run_config)
     if (reference_output is None or baseline_detections is None
             or reference_retired is None):
-        clean = SlipstreamProcessor(program, config).run()
+        clean = timeline.clean_result(run_config)
         reference_output = clean.output
         baseline_detections = clean.ir_mispredictions
         reference_retired = clean.retired
@@ -260,7 +411,6 @@ def inject_one(
             max_instructions = hang_budget(clean.retired)
         reference = FunctionalSimulator(program).run()
         assert list(reference.output) == list(reference_output)
-    run_config = config if config is not None else SlipstreamConfig()
     if max_instructions is not None:
         run_config = replace(run_config, max_instructions=max_instructions)
     injector = FaultInjector(
@@ -269,7 +419,9 @@ def inject_one(
         program=program, clean_retired=reference_retired, config=run_config,
     )
     try:
-        run = SlipstreamProcessor(program, run_config, fault_hook=injector).run()
+        machine = timeline.fork_before(fault, run_config)
+        machine.fault_hook = injector
+        run = machine.run()
     except SimulationError:
         if not injector.report.fired:
             # The budget covers the clean run with 4x headroom; running
@@ -425,7 +577,8 @@ def run_campaign(
     ecc: bool = False,
 ) -> CampaignResult:
     """Inject one fault per (site, target) pair and aggregate."""
-    clean = SlipstreamProcessor(program, config).run()
+    clean_config = config if config is not None else SlipstreamConfig()
+    clean = clean_timeline(program, clean_config).clean_result(clean_config)
     reference_output = clean.output
     baseline = clean.ir_mispredictions
     budget = hang_budget(clean.retired)

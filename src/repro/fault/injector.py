@@ -74,6 +74,11 @@ class FaultSite(enum.Enum):
 
 _CORRELATED = FaultSite.CORRELATED
 
+#: Sites whose ``target_seq`` counts A-stream executions; the others
+#: count R-stream retirements.  A ``CORRELATED`` strike lands on the
+#: A-stream first; its R-stream companion is located by pc + value.
+A_NUMBERED_SITES = (FaultSite.A_RESULT, FaultSite.CORRELATED)
+
 #: Logical-bit rotation the decorrelated layout applies between the two
 #: contexts: the physical location that holds bit ``b`` of a value in
 #: the A-stream's context holds bit ``(b + 13) % 32`` of the same value

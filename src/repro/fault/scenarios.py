@@ -20,10 +20,19 @@ behaviour:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.core.slipstream import SlipstreamConfig, SlipstreamProcessor
-from repro.fault.coverage import FaultOutcome, InjectionResult, inject_one
+from repro.core.slipstream import (
+    SlipstreamConfig,
+    SlipstreamProcessor,
+    SlipstreamResult,
+)
+from repro.fault.coverage import (
+    FaultOutcome,
+    InjectionResult,
+    hang_budget,
+    inject_one,
+)
 from repro.fault.injector import FaultSite, TransientFault
 from repro.isa.program import Program
 
@@ -94,6 +103,19 @@ def find_target_seq(
     A-stream, and which produces a value.  Runs the machine once with a
     recording hook.
     """
+    return _find_target(program, compared, config, after_seq, stream)[0]
+
+
+def _find_target(
+    program: Program,
+    compared: Optional[bool],
+    config: Optional[SlipstreamConfig],
+    after_seq: int,
+    stream: str,
+) -> Tuple[Optional[int], SlipstreamResult]:
+    """:func:`find_target_seq` plus the recording run's result.  The
+    recording hook hands every record back untouched, so that run is
+    the fault-free run."""
     found: list = []
 
     def probe(hook_stream, dyn, state, is_compared):
@@ -108,8 +130,8 @@ def find_target_seq(
             found.append(dyn.seq)
         return dyn
 
-    SlipstreamProcessor(program, config, fault_hook=probe).run()
-    return found[0] if found else None
+    clean = SlipstreamProcessor(program, config, fault_hook=probe).run()
+    return (found[0] if found else None), clean
 
 
 def run_scenario(
@@ -119,19 +141,27 @@ def run_scenario(
     after_seq: int = 0,
     bit: int = 7,
 ) -> InjectionResult:
-    """Execute one scenario: locate a qualifying target and inject."""
+    """Execute one scenario: locate a qualifying target and inject.
+
+    The run that locates the target is the fault-free reference, so the
+    whole scenario simulates the clean run once plus the struck run
+    (which forks from :func:`~repro.fault.coverage.inject_one`'s clean
+    timeline, not from the program's entry)."""
     if scenario.site is FaultSite.A_RESULT:
-        seq = find_target_seq(program, compared=None, config=config,
-                              after_seq=after_seq, stream="A")
+        seq, clean = _find_target(program, None, config, after_seq, "A")
     else:
-        seq = find_target_seq(
-            program, compared=scenario.require_compared, config=config,
-            after_seq=after_seq,
-        )
+        seq, clean = _find_target(program, scenario.require_compared,
+                                  config, after_seq, "R")
     if seq is None:
         raise ValueError(
             f"no qualifying target for scenario {scenario.name!r}; "
             "the workload may lack skipped stores or removal never engaged"
         )
     fault = TransientFault(site=scenario.site, target_seq=seq, bit=bit)
-    return inject_one(program, fault, config)
+    return inject_one(
+        program, fault, config,
+        reference_output=clean.output,
+        baseline_detections=clean.ir_mispredictions,
+        max_instructions=hang_budget(clean.retired),
+        reference_retired=clean.retired,
+    )

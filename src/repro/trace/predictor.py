@@ -30,9 +30,10 @@ entry type here just carries them.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, NamedTuple, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.trace.trace_id import TraceId
 
@@ -74,6 +75,16 @@ class Entry:
         self.kinds = None
         self.confidence = 0
 
+    def copy(self) -> "Entry":
+        twin = Entry.__new__(Entry)
+        twin.trace_id = self.trace_id
+        twin.counter = self.counter
+        twin.removal_tid = self.removal_tid
+        twin.ir_vec = self.ir_vec
+        twin.kinds = self.kinds
+        twin.confidence = self.confidence
+        return twin
+
 
 class Lookup(NamedTuple):
     """A prediction plus the entry that produced it."""
@@ -88,6 +99,19 @@ class _Table:
     def __init__(self, size: int, counter_max: int):
         self._entries: List[Optional[Entry]] = [None] * size
         self._counter_max = counter_max
+        #: Indices holding an entry, in allocation order: a fork copies
+        #: these instead of scanning every slot.
+        self._used: List[int] = []
+
+    def fork(self, twins: Dict[Entry, Entry]) -> "_Table":
+        """An independent copy; ``twins`` maps each entry to its copy."""
+        forked = copy.copy(self)
+        entries = forked._entries = list(self._entries)
+        forked._used = list(self._used)
+        for index in self._used:
+            entry = entries[index]
+            twins[entry] = entries[index] = entry.copy()
+        return forked
 
     def lookup(self, index: int) -> Optional[Entry]:
         return self._entries[index]
@@ -97,6 +121,7 @@ class _Table:
         if entry is None:
             entry = Entry()
             self._entries[index] = entry
+            self._used.append(index)
         if entry.trace_id == actual:
             entry.counter = min(entry.counter + 1, self._counter_max)
         else:
@@ -123,6 +148,16 @@ class TracePredictor:
         self._indices: Optional[Tuple[int, int]] = None
         self.lookups = 0
         self.correlated_hits = 0
+
+    def fork(self, twins: Dict[Entry, Entry]) -> "TracePredictor":
+        """An independent copy of both tables and the path history;
+        ``twins`` maps each table entry to its copy."""
+        forked = copy.copy(self)
+        forked._correlated = self._correlated.fork(twins)
+        forked._simple = self._simple.fork(twins)
+        forked._history = deque(self._history, maxlen=self.config.path_depth)
+        forked._digests = deque(self._digests, maxlen=self.config.path_depth)
+        return forked
 
     # ------------------------------------------------------------------
     # Indexing.

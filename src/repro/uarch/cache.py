@@ -7,6 +7,7 @@ hit/miss decisions; lines hold no data (the architectural state lives in
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List
 
 from repro.uarch.config import CacheConfig
@@ -26,6 +27,12 @@ class Cache:
         self._line_bytes = config.line_bytes
         self._num_sets = config.num_sets
         self._assoc = config.assoc
+
+    def fork(self) -> "Cache":
+        """An independent copy of the tags, LRU stamps and tallies."""
+        forked = copy.copy(self)
+        forked._sets = [dict(cache_set) for cache_set in self._sets]
+        return forked
 
     def _locate(self, addr: int):
         line = addr // self._line_bytes

@@ -161,6 +161,19 @@ class OoOScheduler:
         self.timing_block_miss = 0
         self.timing_fallback = 0
 
+    def fork(self) -> "OoOScheduler":
+        """An independent copy: scalars by value, the per-register,
+        per-address, ROB and per-cycle containers copied."""
+        cls = type(self)
+        forked = cls.__new__(cls)
+        for name in OoOScheduler.__slots__:
+            setattr(forked, name, getattr(self, name))
+        forked._reg_ready = list(self._reg_ready)
+        forked._store_ready = dict(self._store_ready)
+        forked._rob_retire = deque(self._rob_retire)
+        forked._issue_count = dict(self._issue_count)
+        return forked
+
     # ------------------------------------------------------------------
     # External timing events.
     # ------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from repro.arch.functional import FunctionalSimulator
 from repro.core.slipstream import (
+    ConfigError,
     SimulationError,
     SlipstreamConfig,
     SlipstreamProcessor,
@@ -286,5 +287,45 @@ class TestNoProgressWatchdog:
                            f"r_pc={program.entry + 4:#x}, r_seq=1")
 
     def test_zero_trace_length(self):
-        self._raises_quickly(assemble("out r0\nhalt", name="stuck"),
-                             SlipstreamConfig(trace_length=0))
+        # A trace length below one is now a config error at construction
+        # (TestConfigRanges); the watchdog itself stays covered by the
+        # trapping program above.
+        with pytest.raises(ConfigError, match="trace_length"):
+            SlipstreamConfig(trace_length=0)
+
+
+class TestConfigRanges:
+    """Every out-of-range ``SlipstreamConfig`` field fails fast with one
+    structured :class:`ConfigError` naming the field."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("trace_length", 0),
+        ("trace_length", -3),
+        ("ir_scope_traces", 0),
+        ("delay_buffer_capacity", 0),
+        ("confidence_threshold", -1),
+        ("transfer_latency", -5),
+        ("delay_merge_width", 0),
+        ("max_instructions", 0),
+        ("trace_length", 2.5),
+        ("removal_mechanism", "bogus"),
+        ("removal_triggers", ("BR", "XX")),
+    ])
+    def test_out_of_range_field_raises(self, field, value):
+        start = time.monotonic()
+        with pytest.raises(ConfigError) as info:
+            SlipstreamConfig(**{field: value})
+        assert time.monotonic() - start < 1.0
+        error = info.value
+        assert isinstance(error, ValueError)
+        assert (error.field, error.value) == (field, value)
+        assert field in str(error) and error.valid in str(error)
+
+    @pytest.mark.parametrize("field, value", [
+        ("confidence_threshold", 0),
+        ("transfer_latency", 0),
+        ("removal_triggers", ()),
+        ("removal_mechanism", "pc"),
+    ])
+    def test_boundary_values_are_valid(self, field, value):
+        assert getattr(SlipstreamConfig(**{field: value}), field) == value
