@@ -55,6 +55,7 @@ from typing import Callable, Dict, List, Optional, Tuple, cast
 from repro.arch.compiled import compiled_for, resolve_engine
 from repro.arch.executor import DynInstr, ExecutionError, execute_one
 from repro.arch.state import ArchState
+from repro.fingerprint import ConfigError, check_lower_bounds
 from repro.fingerprint import fingerprint as _config_fingerprint
 from repro.core.delay_buffer import DelayBuffer
 from repro.core.ir_detector import IRDetector, TraceAnalysis
@@ -93,21 +94,6 @@ _NEVER_REMOVED = (InstrClass.JUMP_INDIRECT, InstrClass.OUT, InstrClass.HALT)
 
 class SimulationError(Exception):
     """The co-simulation failed to make forward progress."""
-
-
-class ConfigError(ValueError):
-    """A :class:`SlipstreamConfig` field is out of its valid range.
-
-    Carries the offending field name, its value and the valid range,
-    so callers can build precise diagnostics instead of parsing message
-    strings (the style of :class:`repro.core.modes.ModeError`).
-    """
-
-    def __init__(self, field_name: str, value: object, valid: str):
-        self.field = field_name
-        self.value = value
-        self.valid = valid
-        super().__init__(f"SlipstreamConfig.{field_name}={value!r}: {valid}")
 
 
 _REMOVAL_MECHANISMS = ("trace", "pc")
@@ -189,20 +175,18 @@ class SlipstreamConfig:
 
     def __post_init__(self) -> None:
         """Reject an out-of-range field with one :class:`ConfigError`."""
-        for name, least in _LOWER_BOUNDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < least:
-                raise ConfigError(name, value, f"must be an integer >= {least}")
+        check_lower_bounds(self, _LOWER_BOUNDS)
         if self.removal_mechanism not in _REMOVAL_MECHANISMS:
             raise ConfigError(
-                "removal_mechanism", self.removal_mechanism,
+                "SlipstreamConfig", "removal_mechanism",
+                self.removal_mechanism,
                 "unknown removal mechanism; must be one of "
                 + ", ".join(_REMOVAL_MECHANISMS),
             )
         unknown = [t for t in self.removal_triggers if t not in _REMOVAL_TRIGGERS]
         if unknown:
             raise ConfigError(
-                "removal_triggers", self.removal_triggers,
+                "SlipstreamConfig", "removal_triggers", self.removal_triggers,
                 "must be a subset of " + ", ".join(_REMOVAL_TRIGGERS),
             )
 

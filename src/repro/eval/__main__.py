@@ -53,7 +53,7 @@ from repro.eval.jobs import (
 )
 from repro.eval.metrics import arithmetic_mean
 from repro.eval.profiling import DEFAULT_BENCH_PATH, write_bench
-from repro.eval.resilience import RetryPolicy, check_runner_args
+from repro.eval.resilience import check_runner_args
 from repro.eval.runner import ExperimentRunner
 
 
@@ -78,11 +78,8 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the persistent result cache")
     parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                        help="per-job attempt wall-clock timeout; a stuck "
-                             "job is killed and retried, not the pass")
-    parser.add_argument("--retries", type=int, default=2, metavar="N",
-                        help="retries per failing job, with exponential "
-                             "backoff (default 2)")
+                        help="per-job wall-clock timeout; a stuck job "
+                             "fails, not the pass")
     parser.add_argument("--clear-cache", action="store_true",
                         help="delete the persistent cache before running")
     parser.add_argument("--bench-out", default=DEFAULT_BENCH_PATH,
@@ -128,9 +125,8 @@ def render_report(scale: int) -> str:
       "`speedup_vs_sequential` = their ratio (`null` on warm passes),\n"
       "`cpu_count`/`workers` (so oversubscribed speedups read as such),\n"
       "`warm` (true when nothing was simulated) and a `per_job`\n"
-      "provenance/timing breakdown with each job's queue delay.  Cold\n"
-      "jobs are submitted longest-first using per-job durations learned\n"
-      "across passes (`.cache/repro-eval/durations.json`).\n")
+      "provenance/timing breakdown with each job's queue delay.  Each\n"
+      "cold job runs once, in enumeration order.\n")
     w("Pass `--obs` to attach a per-job `RunReport` — removal fraction,\n"
       "IR-misp/1000, backpressure: the same values the tables below\n"
       "print — to each fresh `per_job` row, and `--trace-dir DIR` to\n"
@@ -393,16 +389,14 @@ def main(argv: Optional[List[str]] = None) -> None:
         models.configure_disk_cache(enabled=False)
 
     specs = enumerate_artifact_jobs(args.scale)
-    policy = RetryPolicy(timeout_seconds=args.timeout,
-                         max_retries=args.retries)
     runner = ExperimentRunner(jobs=args.jobs,
                               use_disk_cache=not args.no_cache,
-                              policy=policy)
+                              timeout=args.timeout)
     stats = runner.run(specs)
     resilience = ""
-    if stats.retried or stats.timeouts or stats.pool_rebuilds:
-        resilience = (f" ({stats.retried} retried, {stats.timeouts} "
-                      f"timeouts, {stats.pool_rebuilds} pool rebuilds)")
+    if stats.timeouts or stats.pool_rebuilds:
+        resilience = (f" ({stats.timeouts} timeouts, "
+                      f"{stats.pool_rebuilds} pool rebuilds)")
     print(
         f"[repro.eval] {stats.deduplicated} unique jobs "
         f"({stats.requested} requested): {stats.simulated} simulated, "

@@ -19,11 +19,9 @@ Results are memoised at two levels:
   unreadable cache files are discarded, never fatal.  Entries are
   **sharded** by key-digest prefix (``root/ab/…``) so concurrent
   writers — pool workers, parallel CLI invocations sharing one root —
-  never contend on a single directory; the flat pre-shard layout is
-  still *read* (legacy entries keep hitting) while all writes go to
-  the sharded layout, and :meth:`DiskCache.clear` /
-  :meth:`DiskCache.prune_stale` walk both, sweeping orphaned ``*.tmp*``
-  files abandoned by crashed writers along the way.
+  never contend on a single directory; :meth:`DiskCache.clear` /
+  :meth:`DiskCache.prune_stale` also sweep orphaned ``*.tmp*`` files
+  abandoned by crashed writers.
 
 :func:`simulate` performs the actual simulation for a job and is a
 module-level function, so :mod:`repro.eval.runner` can ship jobs to
@@ -49,7 +47,7 @@ from repro.analysis.ineffectual import cross_check
 from repro.arch.functional import FunctionalSimulator
 from repro.core.modes import decorrelated_config
 from repro.core.slipstream import SlipstreamConfig, SlipstreamProcessor
-from repro.eval.resilience import ChaosPlan, JobTimeout, execute_chaos
+from repro.eval.resilience import JobTimeout
 from repro.fault.coverage import (
     hang_budget,
     inject_one,
@@ -101,9 +99,7 @@ class JobKey:
     #: "count" | "ss64" | "ss128" | "cmp" | "fault" | "xcheck" |
     #: "ceiling" (static ineffectuality ceiling; repro.analysis.ceiling) |
     #: "finj" (one fault-campaign injection point) | "nref" (fault-free
-    #: N-stream reference run; see :mod:`repro.core.nstream`) | "chaos"
-    #: (synthetic runner-resilience job; see
-    #: :mod:`repro.eval.resilience`).
+    #: N-stream reference run; see :mod:`repro.core.nstream`).
     model: str
     benchmark: str
     scale: int = 1
@@ -142,8 +138,6 @@ class JobSpec:
     fault: Optional[TransientFault] = None
     #: Model ECC on the R-stream's architectural state ("finj" jobs).
     ecc: bool = False
-    #: Scripted failure behaviour ("chaos" jobs).
-    chaos: Optional[ChaosPlan] = None
     #: Redundancy mode ("finj"/"nref" jobs): one of
     #: :data:`repro.core.modes.CAMPAIGN_MODES`.
     mode: str = "slipstream"
@@ -247,15 +241,6 @@ def mode_reference_spec(benchmark: str, mode: str, scale: int = 1) -> JobSpec:
     return JobSpec(key, mode=mode)
 
 
-def chaos_spec(name: str, plan: ChaosPlan) -> JobSpec:
-    """A synthetic runner-resilience job (:mod:`repro.eval.resilience`).
-
-    ``name`` fills the benchmark slot of the key so concurrent chaos
-    jobs stay distinct; the plan's fingerprint keys the behaviour."""
-    key = JobKey("chaos", name, config_fingerprint=fingerprint(plan))
-    return JobSpec(key, chaos=plan)
-
-
 # ----------------------------------------------------------------------
 # The raw compute.
 # ----------------------------------------------------------------------
@@ -320,9 +305,6 @@ def simulate(spec: JobSpec, obs: Optional[Observability] = None):
     if model == "ceiling":
         program = benchmark_program(key.benchmark, key.scale)
         return ceiling_report(program)
-    if model == "chaos":
-        assert spec.chaos is not None
-        return execute_chaos(spec.chaos)
     raise ValueError(f"unknown job model {model!r}")
 
 
@@ -415,15 +397,6 @@ def _simulate_fault_study(benchmark: str, scale: int, points: int,
     return run_campaign(program, sites=list(sites), target_seqs=targets)
 
 
-#: CPU clock for per-job cost measurement.  *Thread* CPU time, where
-#: the platform has it: when several threads run attempts in one
-#: process, ``time.process_time()`` would charge every concurrent
-#: sibling's cycles to each job.  In single-threaded pool workers and
-#: the inline path the two clocks agree.
-_cpu_clock = time.thread_time if hasattr(time, "thread_time") \
-    else time.process_time
-
-
 def timed_simulate(spec: JobSpec):
     """Worker entry point: ``(result, wall_seconds, cpu_seconds,
     started_monotonic, report)``.
@@ -431,9 +404,7 @@ def timed_simulate(spec: JobSpec):
     CPU seconds are the contention-independent cost of the job: on an
     oversubscribed machine the wall clock inside a worker is inflated by
     scheduling, but CPU time is not, so it is what sequential
-    cost estimates must sum.  Measured with the executing thread's CPU
-    clock so concurrent in-process attempts never bill each other's
-    cycles.  ``started_monotonic`` is this process's
+    cost estimates must sum.  ``started_monotonic`` is this process's
     ``time.monotonic()`` at the moment the job started computing; on the
     supported platforms the monotonic clock is system-wide, so the
     runner subtracts its own submit-time reading to measure how long the
@@ -443,59 +414,36 @@ def timed_simulate(spec: JobSpec):
     """
     started = time.monotonic()
     w0 = time.perf_counter()
-    c0 = _cpu_clock()
+    c0 = time.process_time()
     result, report = simulate_with_report(spec)
-    return (result, time.perf_counter() - w0, _cpu_clock() - c0,
+    return (result, time.perf_counter() - w0, time.process_time() - c0,
             started, report)
 
 
 def run_attempt(spec: JobSpec, timeout_seconds: Optional[float] = None):
-    """One *bounded* attempt at a job: :func:`timed_simulate` under an
-    optional wall-clock budget.
+    """:func:`timed_simulate` under an optional wall-clock budget.
 
-    On the main thread the budget is enforced with a ``SIGALRM``
-    itimer, so a stuck job dies with a
-    :class:`~repro.eval.resilience.JobTimeout` while the worker (and
-    the rest of the pool) survives.  ``signal.signal``/``setitimer``
-    raise ``ValueError`` off the main thread, so threaded callers fall
-    back to a **monotonic post-hoc deadline**: the attempt runs to
-    completion, and if it exceeded the budget its (late) result is
-    discarded and ``JobTimeout`` is raised, so timeout classification
-    and retry accounting match the ``SIGALRM`` path exactly.  The
-    documented limitation of the fallback is that a *wedged* job cannot
-    be interrupted from another thread; the runner's driver-side hard
-    deadline (its process pool) or a process-level budget must cover
-    true hangs.  Platforms without ``SIGALRM`` take the same fallback.
+    The budget is a ``SIGALRM`` itimer, so a stuck job dies with a
+    :class:`~repro.eval.resilience.JobTimeout` while the executing
+    process (a pool worker or the inline driver) survives.  A budget
+    therefore needs the main thread of a platform with ``SIGALRM``;
+    ``signal.signal`` raises ``ValueError`` anywhere else.
     """
     if not timeout_seconds:
         return timed_simulate(spec)
-    if (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    ):
-        def _expired(signum, frame):
-            raise JobTimeout(
-                f"{job_label(spec.key)}: attempt exceeded "
-                f"{timeout_seconds}s wall clock"
-            )
 
-        previous = signal.signal(signal.SIGALRM, _expired)
-        signal.setitimer(signal.ITIMER_REAL, timeout_seconds)
-        try:
-            return timed_simulate(spec)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-
-    deadline_start = time.monotonic()
-    out = timed_simulate(spec)
-    if time.monotonic() - deadline_start > timeout_seconds:
+    def _expired(signum, frame):
         raise JobTimeout(
-            f"{job_label(spec.key)}: attempt exceeded {timeout_seconds}s "
-            "wall clock (monotonic deadline, checked post-hoc off the "
-            "main thread)"
+            f"{job_label(spec.key)}: exceeded {timeout_seconds}s wall clock"
         )
-    return out
+
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.setitimer(signal.ITIMER_REAL, timeout_seconds)
+    try:
+        return timed_simulate(spec)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ----------------------------------------------------------------------
@@ -632,8 +580,7 @@ def unique_tmp_path(path: Path) -> Path:
 
     Same directory as ``path`` (so ``os.replace`` stays atomic on one
     filesystem), and unique across processes *and* threads: the name
-    embeds pid, thread ident and a per-process counter.  Shared by
-    :meth:`DiskCache.store` and :meth:`repro.eval.oracle.DurationOracle.save`.
+    embeds pid, thread ident and a per-process counter.
     """
     return path.with_suffix(
         f".tmp{os.getpid()}-{threading.get_ident()}-{next(_TMP_COUNTER)}"
@@ -652,10 +599,7 @@ class DiskCache:
     Entries live under a two-hex-character shard directory derived from
     the key digest (``root/ab/cmp-li-…pkl``), so the writers sharing a
     cache root spread their directory traffic over 256 shards instead
-    of contending on one.  The flat pre-shard layout is still read as a
-    fallback — old roots keep hitting without migration — while every
-    write goes to the sharded layout; :meth:`clear` and
-    :meth:`prune_stale` walk both.
+    of contending on one.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None,
@@ -672,36 +616,26 @@ class DiskCache:
         return digest[:2], name
 
     def path_for(self, key: JobKey) -> Path:
-        """The sharded path of ``key``'s entry (the write target)."""
+        """The sharded path of ``key``'s entry."""
         shard, name = self._entry_name(key)
         return self.root / shard / name
 
-    def legacy_path_for(self, key: JobKey) -> Path:
-        """Where the flat pre-shard layout kept ``key``'s entry."""
-        _, name = self._entry_name(key)
-        return self.root / name
-
     def load(self, key: JobKey):
-        """The cached result for ``key``, or :data:`MISS`.
-
-        Probes the sharded path first, then the flat legacy path, so a
-        root populated before sharding keeps hitting.
-        """
-        for path in (self.path_for(key), self.legacy_path_for(key)):
-            try:
-                with open(path, "rb") as handle:
-                    payload = pickle.load(handle)
-            except FileNotFoundError:
-                continue
-            except Exception:
-                # Corrupt/truncated/unreadable: discard, never fatal.
-                self._discard(path)
-                continue
-            if not isinstance(payload, dict) or payload.get("key") != key:
-                self._discard(path)
-                continue
-            return payload.get("result")
-        return MISS
+        """The cached result for ``key``, or :data:`MISS`."""
+        path = self.path_for(key)
+        try:
+            with open(path, "rb") as handle:
+                payload = pickle.load(handle)
+        except FileNotFoundError:
+            return MISS
+        except Exception:
+            # Corrupt/truncated/unreadable: discard, never fatal.
+            self._discard(path)
+            return MISS
+        if not isinstance(payload, dict) or payload.get("key") != key:
+            self._discard(path)
+            return MISS
+        return payload.get("result")
 
     def store(self, key: JobKey, result) -> None:
         path = self.path_for(key)
@@ -717,7 +651,9 @@ class DiskCache:
             self._discard(tmp)
 
     def _entry_files(self) -> Iterator[Path]:
-        """Every cache entry, sharded and flat-legacy, sorted."""
+        """Every cache entry, sorted: the shards, and the flat
+        ``root/*.pkl`` files older versions wrote (never read now, but
+        still cleared and pruned)."""
         if not self.root.is_dir():
             return
         yield from sorted(self.root.glob("*.pkl"))
@@ -731,8 +667,8 @@ class DiskCache:
         yield from sorted(self.root.glob("[0-9a-f][0-9a-f]/*.tmp*"))
 
     def clear(self) -> int:
-        """Delete every cache file (both layouts), plus any leftover
-        temp files; returns the number removed."""
+        """Delete every cache file, plus any leftover temp files;
+        returns the number removed."""
         removed = 0
         for path in self._entry_files():
             self._discard(path)
@@ -745,8 +681,8 @@ class DiskCache:
     def prune_stale(
         self, tmp_age_seconds: float = TMP_SWEEP_AGE_SECONDS
     ) -> int:
-        """Delete entries written under a different code version (both
-        layouts) and temp files abandoned by crashed writers.
+        """Delete entries written under a different code version and
+        temp files abandoned by crashed writers.
 
         A temp file younger than ``tmp_age_seconds`` is left alone: it
         may belong to a concurrent writer that has not reached its

@@ -51,8 +51,6 @@ def stats_payload(stats: RunnerStats, scale: int,
         }
         if r.error is not None:
             record["error"] = r.error
-        if r.attempts:
-            record["attempts"] = [a.to_json() for a in r.attempts]
         if r.report is not None:
             record["report"] = r.report.to_json()
         records.append(record)
@@ -72,11 +70,8 @@ def stats_payload(stats: RunnerStats, scale: int,
         "disk_hits": stats.disk_hits,
         "memory_hits": stats.memory_hits,
         "failed": stats.failed,
-        "aborted": stats.aborted,
-        "retried": stats.retried,
         "timeouts": stats.timeouts,
         "pool_rebuilds": stats.pool_rebuilds,
-        "poisoned": stats.poisoned,
         "warm": stats.simulated == 0,
         "wall_clock_seconds": round(stats.wall_seconds, 3),
         "sequential_estimate_seconds": round(

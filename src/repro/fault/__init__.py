@@ -19,7 +19,7 @@ R-stream is the recovery source).
 * :mod:`repro.fault.ecc` — ECC on the R-stream's architectural state,
   the paper's fix for the unrecoverable hole.
 * :mod:`repro.fault.campaign` — seeded campaigns scaled across the
-  benchmark suite, fanned through the hardened experiment runner
+  benchmark suite, fanned through the experiment runner
   (``python -m repro.fault``).
 """
 

@@ -27,7 +27,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.modes import CAMPAIGN_MODES
-from repro.eval.resilience import RetryPolicy, check_runner_args
+from repro.eval.resilience import check_runner_args
 from repro.fault.campaign import (
     DEFAULT_BENCH_FAULT_PATH,
     DEFAULT_SITES,
@@ -98,9 +98,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default: 1, inline)")
     parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                        help="per-job attempt wall-clock timeout")
-    parser.add_argument("--retries", type=int, default=2,
-                        help="retries per failed job (default: 2)")
+                        help="per-job wall-clock timeout")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the persistent result cache")
     parser.add_argument("--bench-out", default=DEFAULT_BENCH_FAULT_PATH,
@@ -123,13 +121,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         ecc=args.ecc,
         modes=_parse_modes(args.modes),
     )
-    policy = RetryPolicy(timeout_seconds=args.timeout,
-                         max_retries=args.retries)
-
     result, stats = run_scaled_campaign(
         config,
         jobs=args.jobs,
-        policy=policy,
+        timeout=args.timeout,
         use_disk_cache=not args.no_cache,
     )
 
@@ -140,7 +135,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print()
         print(f"runner: {stats.simulated} simulated, "
               f"{stats.disk_hits + stats.memory_hits} cache hits, "
-              f"{stats.failed} failed, {stats.retried} retried, "
+              f"{stats.failed} failed, "
               f"{stats.pool_rebuilds} pool rebuilds "
               f"({stats.wall_seconds:.1f}s wall)")
 

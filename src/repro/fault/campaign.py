@@ -4,7 +4,7 @@
 this module scales that to a statistical campaign (paper, section 3):
 a seeded RNG samples (site × dynamic-instruction × bit) strike points
 across all eight workloads, every point becomes a cached
-:class:`~repro.eval.jobs.JobSpec` fanned through the hardened
+:class:`~repro.eval.jobs.JobSpec` fanned through the
 :class:`~repro.eval.runner.ExperimentRunner`, and the classified
 outcomes aggregate into an outcome × site × workload coverage table.
 
@@ -218,9 +218,8 @@ class ScaledCampaignResult:
     ``per_benchmark`` holds each workload's classified injections
     (every mode's results merged; each :class:`InjectionResult` carries
     its ``mode``); ``failed_points`` lists the job labels of campaign
-    points that did not complete (the hardened runner retries,
-    quarantines and reports — a lost point is recorded, never silently
-    dropped).  ``mode_ipc`` carries each mode's fault-free throughput
+    points that did not complete (a lost point is recorded, never
+    silently dropped).  ``mode_ipc`` carries each mode's fault-free throughput
     IPC (geometric mean across the campaign's benchmarks) and
     ``baseline_ipc`` the single-core superscalar reference, both filled
     in by :func:`run_scaled_campaign`.
@@ -554,10 +553,10 @@ def _mode_throughput(
 def run_scaled_campaign(
     config: CampaignConfig,
     jobs: int = 1,
-    policy: Optional["RetryPolicy"] = None,
+    timeout: Optional[float] = None,
     use_disk_cache: bool = True,
 ) -> Tuple[ScaledCampaignResult, "RunnerStats"]:
-    """Run one scaled campaign through the hardened runner.
+    """Run one scaled campaign through the experiment runner.
 
     Two runner passes: first the fault-free reference runs per (mode,
     benchmark) pair — one slipstream/decorrelated co-simulation or one
@@ -578,7 +577,7 @@ def run_scaled_campaign(
     from repro.eval.runner import ExperimentRunner, RunnerError
 
     runner = ExperimentRunner(jobs=jobs, use_disk_cache=use_disk_cache,
-                              policy=policy)
+                              timeout=timeout)
 
     # Pass 1: fault-free references (stream lengths + reference outputs).
     runner.run(_reference_specs(config))
@@ -587,7 +586,7 @@ def run_scaled_campaign(
     points = sample_points(config, stream_lengths)
     specs = campaign_specs(config, points)
 
-    # Pass 2: the strike points, fanned through the hardened runner.
+    # Pass 2: the strike points, fanned through the runner.
     # They are submitted per (mode, benchmark) in order of how far into
     # the run they strike, so each process's clean timeline
     # (repro.fault.coverage.CleanTimeline) serves them from one live

@@ -418,40 +418,15 @@ def inject_one(
         decorrelated=bool(run_config.decorrelated),
         program=program, clean_retired=reference_retired, config=run_config,
     )
-    try:
+
+    def struck_run():
         machine = timeline.fork_before(fault, run_config)
         machine.fault_hook = injector
         run = machine.run()
-    except SimulationError:
-        if not injector.report.fired:
-            # The budget covers the clean run with 4x headroom; running
-            # out *before* the strike is a simulator bug, not a fault
-            # effect.
-            raise
-        return InjectionResult(
-            fault=fault,
-            outcome=FaultOutcome.HANG,
-            struck_compared=injector.report.struck_compared,
-            detections=0,
-            ecc_corrected=injector.report.ecc_corrected,
-        )
-    outcome = classify_run(
-        reference_output, injector, run.output, baseline_detections,
-        run.ir_mispredictions,
-    )
-    detect_latency = recovery_penalty = None
-    if outcome in (FaultOutcome.DETECTED_RECOVERED,
-                   FaultOutcome.DETECTED_UNRECOVERABLE):
-        detect_latency, recovery_penalty = _detection_span(run, injector.report)
-    return InjectionResult(
-        fault=fault,
-        outcome=outcome,
-        struck_compared=injector.report.struck_compared,
-        detections=run.ir_mispredictions,
-        detect_latency=detect_latency,
-        recovery_penalty=recovery_penalty,
-        ecc_corrected=injector.report.ecc_corrected,
-    )
+        return run, run.ir_mispredictions
+
+    return _classify_struck_run(fault, "slipstream", injector, struck_run,
+                                reference_output, baseline_detections)
 
 
 def inject_one_nstream(
@@ -512,58 +487,68 @@ def inject_one_nstream(
         clean = FunctionalSimulator(program).run()
         reference_output = clean.output
         baseline_detections = 0
-    try:
+
+    def struck_run():
         run = engine.run()
+        return run, run.detections
+
+    return _classify_struck_run(fault, mode, injector, struck_run,
+                                reference_output, baseline_detections)
+
+
+def _classify_struck_run(
+    fault: TransientFault,
+    mode: str,
+    injector: FaultInjector,
+    struck_run,
+    reference_output: Sequence[int],
+    baseline_detections: int,
+) -> InjectionResult:
+    """Run ``struck_run`` (``() -> (run, detections)``) and classify it.
+
+    A :class:`SimulationError` after the strike (the hang budget ran
+    out, or the injector proved it would) classifies as ``HANG``; one
+    before the strike is a simulator bug and propagates.  Otherwise
+    :func:`classify_run` decides, except that under TMR a correct,
+    detected run is ``MASKED_BY_VOTE``: the detection *is* the masking
+    vote (replay's detection is a successful rollback, so it stays
+    ``DETECTED_RECOVERED``).
+    """
+    try:
+        run, detections = struck_run()
     except SimulationError:
-        if not injector.report.fired:
+        report = injector.report
+        if not report.fired:
+            # The budget covers the clean run with 4x headroom; running
+            # out *before* the strike is a simulator bug, not a fault
+            # effect.
             raise
         return InjectionResult(
             fault=fault,
             outcome=FaultOutcome.HANG,
-            struck_compared=injector.report.struck_compared,
+            struck_compared=report.struck_compared,
             detections=0,
-            ecc_corrected=injector.report.ecc_corrected,
+            ecc_corrected=report.ecc_corrected,
             mode=mode,
         )
-    if not injector.report.fired:
-        return InjectionResult(
-            fault=fault,
-            outcome=FaultOutcome.NOT_FIRED,
-            struck_compared=None,
-            detections=run.detections,
-            mode=mode,
-        )
-    correct = list(run.output) == list(reference_output)
-    detected = run.detections > baseline_detections
-    if injector.report.ecc_corrected and correct:
-        outcome = FaultOutcome.ECC_CORRECTED
-    elif correct and detected:
-        # TMR's detection *is* the masking vote; replay's detection is
-        # a successful rollback to the clean shadow continuation.
-        outcome = (
-            FaultOutcome.MASKED_BY_VOTE
-            if mode == "tmr"
-            else FaultOutcome.DETECTED_RECOVERED
-        )
-    elif correct:
-        outcome = FaultOutcome.MASKED
-    elif detected:
-        outcome = FaultOutcome.DETECTED_UNRECOVERABLE
-    else:
-        outcome = FaultOutcome.SILENT_CORRUPTION
+    report = injector.report
+    outcome = classify_run(reference_output, injector, run.output,
+                           baseline_detections, detections)
+    if mode == "tmr" and outcome is FaultOutcome.DETECTED_RECOVERED:
+        outcome = FaultOutcome.MASKED_BY_VOTE
     detect_latency = recovery_penalty = None
-    if detected and outcome is not FaultOutcome.MASKED:
-        detect_latency, recovery_penalty = _detection_span(
-            run, injector.report
-        )
+    if outcome in (FaultOutcome.DETECTED_RECOVERED,
+                   FaultOutcome.DETECTED_UNRECOVERABLE,
+                   FaultOutcome.MASKED_BY_VOTE):
+        detect_latency, recovery_penalty = _detection_span(run, report)
     return InjectionResult(
         fault=fault,
         outcome=outcome,
-        struck_compared=injector.report.struck_compared,
-        detections=run.detections,
+        struck_compared=report.struck_compared,
+        detections=detections,
         detect_latency=detect_latency,
         recovery_penalty=recovery_penalty,
-        ecc_corrected=injector.report.ecc_corrected,
+        ecc_corrected=report.ecc_corrected,
         mode=mode,
     )
 

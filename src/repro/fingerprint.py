@@ -1,4 +1,5 @@
-"""Stable content fingerprints for configuration value objects.
+"""Configuration value objects: stable content fingerprints and the
+range check they share.
 
 Experiment results are cached on disk keyed by *what was simulated*
 (:mod:`repro.eval.jobs`), so every configuration object needs a stable,
@@ -8,6 +9,13 @@ salted per process and ``repr()`` is not guaranteed canonical.
 :func:`fingerprint` walks dataclasses (comparison fields only), enums,
 tuples/lists, dicts and scalars into a canonical JSON form and hashes
 it.  Two configurations fingerprint equal iff they compare equal.
+
+:class:`repro.uarch.config.CoreConfig`,
+:class:`repro.trace.predictor.TracePredictorConfig` and
+:class:`repro.core.slipstream.SlipstreamConfig` reject an out-of-range
+field at construction with one :class:`ConfigError`
+(:func:`check_lower_bounds`), so a bad value fails fast instead of
+surfacing as a hang or a nonsense result deep in a simulation.
 """
 
 from __future__ import annotations
@@ -16,7 +24,36 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Any
+from typing import Any, Sequence, Tuple
+
+
+class ConfigError(ValueError):
+    """A configuration field is out of its valid range.
+
+    Carries the configuration class name, the offending field name, its
+    value and the valid range, so callers can build precise diagnostics
+    instead of parsing message strings (the style of
+    :class:`repro.core.modes.ModeError`).
+    """
+
+    def __init__(self, config: str, field_name: str, value: object,
+                 valid: str):
+        self.config = config
+        self.field = field_name
+        self.value = value
+        self.valid = valid
+        super().__init__(f"{config}.{field_name}={value!r}: {valid}")
+
+
+def check_lower_bounds(config: object,
+                       bounds: Sequence[Tuple[str, int]]) -> None:
+    """Raise :class:`ConfigError` for the first ``(field, least)`` of
+    ``bounds`` whose value on ``config`` is not an integer >= least."""
+    for name, least in bounds:
+        value = getattr(config, name)
+        if not isinstance(value, int) or value < least:
+            raise ConfigError(type(config).__name__, name, value,
+                              f"must be an integer >= {least}")
 
 
 def canonical(obj: Any) -> Any:

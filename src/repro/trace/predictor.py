@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.trace.trace_id import TraceId
+from repro.fingerprint import check_lower_bounds
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,12 @@ class TracePredictorConfig:
     index_bits: int = 16
     path_depth: int = 8
     counter_max: int = 3
+
+    def __post_init__(self) -> None:
+        """Reject an out-of-range field with one
+        :class:`~repro.fingerprint.ConfigError`."""
+        check_lower_bounds(self, (("index_bits", 1), ("path_depth", 1),
+                                  ("counter_max", 1)))
 
     @property
     def table_size(self) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.fingerprint import check_lower_bounds
 from repro.fingerprint import fingerprint as _fingerprint
 
 
@@ -33,6 +34,18 @@ ICACHE_DEFAULT = CacheConfig(size_bytes=64 * 1024, assoc=4, line_bytes=64, miss_
 DCACHE_DEFAULT = CacheConfig(size_bytes=64 * 1024, assoc=4, line_bytes=64, miss_penalty=14)
 
 
+#: (field, least valid value) of every bounded :class:`CoreConfig` field.
+_CORE_LOWER_BOUNDS = (
+    ("fetch_width", 1),
+    ("dispatch_width", 1),
+    ("issue_width", 1),
+    ("retire_width", 1),
+    ("rob_size", 1),
+    ("frontend_depth", 1),
+    ("redirect_penalty", 0),
+)
+
+
 @dataclass(frozen=True)
 class CoreConfig:
     """One superscalar processing element.
@@ -56,6 +69,11 @@ class CoreConfig:
     redirect_penalty: int = 1
     icache: CacheConfig = ICACHE_DEFAULT
     dcache: CacheConfig = DCACHE_DEFAULT
+
+    def __post_init__(self) -> None:
+        """Reject an out-of-range field with one
+        :class:`~repro.fingerprint.ConfigError`."""
+        check_lower_bounds(self, _CORE_LOWER_BOUNDS)
 
     def fingerprint(self) -> str:
         """Stable content hash, used in experiment-cache keys."""

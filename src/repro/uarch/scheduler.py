@@ -163,7 +163,12 @@ class OoOScheduler:
 
     def fork(self) -> "OoOScheduler":
         """An independent copy: scalars by value, the per-register,
-        per-address, ROB and per-cycle containers copied."""
+        per-address, ROB and per-cycle containers copied.
+
+        Only the live issue cycles are copied: every later instruction
+        dispatches at or after ``_last_dispatch`` and issues at or after
+        its dispatch, so a count below that cycle is never read again.
+        """
         cls = type(self)
         forked = cls.__new__(cls)
         for name in OoOScheduler.__slots__:
@@ -171,7 +176,11 @@ class OoOScheduler:
         forked._reg_ready = list(self._reg_ready)
         forked._store_ready = dict(self._store_ready)
         forked._rob_retire = deque(self._rob_retire)
-        forked._issue_count = dict(self._issue_count)
+        floor = self._last_dispatch
+        forked._issue_count = {
+            cycle: count for cycle, count in self._issue_count.items()
+            if cycle >= floor
+        }
         return forked
 
     # ------------------------------------------------------------------

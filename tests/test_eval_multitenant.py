@@ -3,10 +3,8 @@
 Pool workers and concurrent CLI invocations point many processes (and
 threaded callers many threads) at one ``.cache/repro-eval`` directory;
 these tests pin the concurrency fixes that make that safe:
-digest-sharded entries with flat-legacy read compatibility,
-per-call-unique tmp files (plus orphan sweeping), read-merge-write
-oracle persistence, and the off-main-thread per-attempt timeout
-fallback.
+digest-sharded entries, per-call-unique tmp files (plus orphan
+sweeping), and jobs run from a thread other than the main one.
 """
 
 import os
@@ -24,13 +22,6 @@ from repro.eval.jobs import (
     simulate,
     unique_tmp_path,
 )
-from repro.eval.oracle import (
-    EWMA_ALPHA,
-    DurationOracle,
-    _read_durations,
-    job_digest,
-)
-from repro.eval.resilience import JobTimeout
 
 BENCHES = ("jpeg", "go", "compress")
 
@@ -41,7 +32,7 @@ def cache(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Sharded layout + flat-legacy migration.
+# Sharded layout.
 # ----------------------------------------------------------------------
 
 
@@ -56,30 +47,12 @@ class TestShardedLayout:
         assert path.exists()
         assert cache.load(key) == 123
 
-    def test_flat_legacy_entries_still_load(self, cache):
-        key = count_spec("jpeg").key
-        cache.store(key, 456)
-        # Demote to the pre-sharding flat layout, as an old cache would
-        # have written it.
-        os.replace(cache.path_for(key), cache.legacy_path_for(key))
-        assert cache.load(key) == 456
-
-    def test_sharded_shadows_legacy(self, cache):
-        key = count_spec("jpeg").key
-        cache.legacy_path_for(key).parent.mkdir(parents=True, exist_ok=True)
-        cache.store(key, "new")
-        # A stale flat entry left behind by an old writer must lose to
-        # the sharded one.
-        import pickle
-
-        cache.legacy_path_for(key).write_bytes(pickle.dumps("old"))
-        assert cache.load(key) == "new"
-
     def test_clear_walks_both_layouts(self, cache):
         k1, k2 = count_spec("jpeg").key, count_spec("go").key
         cache.store(k1, 1)
         cache.store(k2, 2)
-        os.replace(cache.path_for(k2), cache.legacy_path_for(k2))
+        # A flat root/*.pkl entry, as versions before sharding wrote it.
+        os.replace(cache.path_for(k2), cache.root / cache.path_for(k2).name)
         assert cache.clear() == 2
         assert cache.load(k1) is MISS
         assert cache.load(k2) is MISS
@@ -89,7 +62,7 @@ class TestShardedLayout:
         k1, k2 = count_spec("jpeg").key, count_spec("go").key
         stale.store(k1, 1)
         stale.store(k2, 2)
-        os.replace(stale.path_for(k2), stale.legacy_path_for(k2))
+        os.replace(stale.path_for(k2), stale.root / stale.path_for(k2).name)
         fresh = DiskCache(cache.root, code_version="new")
         assert fresh.prune_stale() == 2
 
@@ -206,99 +179,9 @@ class TestSharedRootHammer:
         self._assert_identical_to_inline(results, reference)
         self._assert_no_tmp_residue(root)
 
-    def test_legacy_entries_served_during_hammer(self, tmp_path):
-        root = tmp_path / "cache"
-        seed = DiskCache(root, code_version="vtest")
-        reference = {}
-        for bench in BENCHES:
-            spec = count_spec(bench)
-            reference[bench] = simulate(spec)
-            seed.store(spec.key, reference[bench])
-            os.replace(seed.path_for(spec.key), seed.legacy_path_for(spec.key))
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = [
-                f.result()
-                for f in [pool.submit(_tenant_pass, root, BENCHES)
-                          for _ in range(4)]
-            ]
-        self._assert_identical_to_inline(results, reference)
-
 
 # ----------------------------------------------------------------------
-# Oracle persistence: read-merge-write, no lost updates.
-# ----------------------------------------------------------------------
-
-
-class TestOracleMerge:
-    def test_disjoint_saves_both_survive(self, tmp_path):
-        path = tmp_path / "durations.json"
-        a = DurationOracle(path)
-        b = DurationOracle(path)
-        key_a, key_b = count_spec("jpeg").key, count_spec("go").key
-        a.observe(key_a, 1.0)
-        b.observe(key_b, 2.0)
-        a.save()
-        b.save()  # last-writer-wins would drop key_a here
-        on_disk = _read_durations(path)
-        assert on_disk[job_digest(key_a)] == pytest.approx(1.0)
-        assert on_disk[job_digest(key_b)] == pytest.approx(2.0)
-
-    def test_same_key_concurrent_update_is_folded(self, tmp_path):
-        path = tmp_path / "durations.json"
-        a = DurationOracle(path)
-        b = DurationOracle(path)
-        key = count_spec("jpeg").key
-        a.observe(key, 1.0)
-        b.observe(key, 3.0)
-        a.save()
-        b.save()
-        # B must not clobber A: its estimate is EWMA-folded into A's.
-        expected = EWMA_ALPHA * 3.0 + (1.0 - EWMA_ALPHA) * 1.0
-        assert _read_durations(path)[job_digest(key)] == pytest.approx(expected)
-
-    def test_unchanged_disk_key_is_overwritten_not_folded(self, tmp_path):
-        path = tmp_path / "durations.json"
-        a = DurationOracle(path)
-        key = count_spec("jpeg").key
-        a.observe(key, 1.0)
-        a.save()
-        # Same oracle keeps learning with nobody else writing: its own
-        # refined EWMA stands verbatim, no self-folding.
-        a.observe(key, 2.0)
-        expected = a.estimate(key)
-        a.save()
-        assert _read_durations(path)[job_digest(key)] == pytest.approx(expected)
-
-    def test_many_threads_no_lost_updates(self, tmp_path):
-        path = tmp_path / "durations.json"
-        keys = [count_spec("jpeg", scale).key for scale in range(1, 9)]
-
-        def learn(index):
-            oracle = DurationOracle(path)
-            oracle.observe(keys[index], float(index + 1))
-            oracle.save()
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(learn, range(8)))
-        on_disk = _read_durations(path)
-        for index, key in enumerate(keys):
-            assert on_disk[job_digest(key)] == pytest.approx(float(index + 1))
-
-    def test_save_adopts_merged_view(self, tmp_path):
-        path = tmp_path / "durations.json"
-        a = DurationOracle(path)
-        b = DurationOracle(path)
-        key_a, key_b = count_spec("jpeg").key, count_spec("go").key
-        a.observe(key_a, 1.0)
-        a.save()
-        b.observe(key_b, 2.0)
-        b.save()
-        # B read A's entry during the merge; its estimates now use it.
-        assert b.estimate(key_a) == pytest.approx(1.0)
-
-
-# ----------------------------------------------------------------------
-# Per-attempt timeouts off the main thread.
+# Jobs off the main thread.
 # ----------------------------------------------------------------------
 
 
@@ -319,14 +202,9 @@ class TestOffMainThreadTimeout:
             raise box["error"]
         return box["value"]
 
-    def test_timeout_enforced_off_main_thread(self):
-        # SIGALRM cannot be armed here; the monotonic post-hoc deadline
-        # must still classify the overrun as JobTimeout.
-        spec = count_spec("jpeg")
-        with pytest.raises(JobTimeout):
-            self._run_in_thread(lambda: run_attempt(spec, 1e-6))
-
     def test_no_timeout_off_main_thread_succeeds(self):
+        # Without a budget no SIGALRM is armed, so a job runs on any
+        # thread.
         spec = count_spec("jpeg")
         result, wall, cpu, started, _report = self._run_in_thread(
             lambda: run_attempt(spec, None)
@@ -335,14 +213,9 @@ class TestOffMainThreadTimeout:
         assert wall >= 0.0 and cpu >= 0.0
         assert started <= time.monotonic()
 
-    def test_generous_deadline_off_main_thread_succeeds(self):
-        spec = count_spec("jpeg")
-        result, *_ = self._run_in_thread(lambda: run_attempt(spec, 600.0))
-        assert result == simulate(spec)
-
     def test_main_thread_still_uses_sigalrm(self):
-        # The signal path must remain intact for spawned pool workers
-        # (whose attempts run on the worker's main thread).
+        # The signal path pool workers and the inline driver use: their
+        # jobs run on the process's main thread.
         spec = count_spec("jpeg")
         result, *_ = run_attempt(spec, 600.0)
         assert result == simulate(spec)

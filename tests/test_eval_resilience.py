@@ -1,34 +1,23 @@
-"""The resilient execution layer: per-job timeouts, bounded retries
-with deterministic backoff, pool-crash recovery with correct blame
-attribution (poison quarantine vs. innocent requeue vs. abort), and
+"""How the runner fails: a per-job timeout, a dying worker, and
 checkpoint/resume through the persistent cache.
 
-Chaos jobs (:mod:`repro.eval.resilience`) script the failures — raise,
-sleep past the timeout, ``os._exit`` the worker, fail N times then
-succeed — as first-class job specs, so the scripted behaviour crosses
-the process boundary like any real job."""
+Each test monkeypatches :func:`repro.eval.jobs.simulate` so a scripted
+job sleeps, kills its worker or raises ``KeyboardInterrupt``.  Pool
+workers are forked, so they inherit the patch; every other job runs
+the real simulation."""
 
+import os
 import time
 
 import pytest
 
 from repro.eval import jobs, models
-from repro.eval.jobs import chaos_spec, count_spec, run_attempt
+from repro.eval.jobs import JobKey, JobSpec, count_spec, run_attempt
 from repro.eval.profiling import stats_payload
-from repro.eval.resilience import (
-    AttemptRecord,
-    ChaosError,
-    ChaosPlan,
-    JobTimeout,
-    RetryPolicy,
-    execute_chaos,
-)
+from repro.eval.resilience import JobTimeout
 from repro.eval.runner import ExperimentRunner, RunnerError
 
 BENCH = "jpeg"  # the cheapest workload in the suite
-
-#: Fast backoff for tests: semantics identical, no multi-second sleeps.
-FAST = dict(backoff_base_seconds=0.01, backoff_cap_seconds=0.05)
 
 
 @pytest.fixture
@@ -43,253 +32,217 @@ def fresh_caches(tmp_path):
     models._DISK, models._DISK_ENABLED = saved
 
 
-class TestRetryPolicy:
-    def test_backoff_is_deterministic_and_capped(self):
-        policy = RetryPolicy(backoff_base_seconds=0.25, backoff_cap_seconds=2.0)
-        assert policy.backoff_seconds(1) == 0.25
-        assert policy.backoff_seconds(2) == 0.5
-        assert policy.backoff_seconds(3) == 1.0
-        assert policy.backoff_seconds(4) == 2.0
-        assert policy.backoff_seconds(10) == 2.0  # capped
-
-    def test_hard_deadline_follows_timeout(self):
-        assert RetryPolicy().hard_deadline_seconds is None
-        policy = RetryPolicy(timeout_seconds=2.0, hard_timeout_factor=4.0)
-        assert policy.hard_deadline_seconds == 8.0
-
-    @pytest.mark.parametrize("kwargs", [
-        {"timeout_seconds": 0.0},
-        {"timeout_seconds": -1.0},
-        {"max_retries": -1},
-        {"poison_threshold": 0},
-        {"backoff_base_seconds": -0.1},
-        {"hard_timeout_factor": 0.5},
-    ])
-    def test_rejects_bad_knobs(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
+def scripted(name: str) -> JobSpec:
+    """A job the patched :func:`jobs.simulate` acts out by ``name``."""
+    return JobSpec(JobKey("scripted", name))
 
 
-class TestChaosPlans:
-    def test_flaky_needs_state_file(self):
-        with pytest.raises(ValueError):
-            ChaosPlan(behavior="flaky", fail_times=1)
+@pytest.fixture
+def script(monkeypatch):
+    """Patch ``jobs.simulate``: ``scripted`` jobs run the behaviour
+    registered under their name, every other job simulates."""
+    behaviours = {}
+    real = jobs.simulate
 
-    def test_unknown_behavior_rejected(self):
-        with pytest.raises(ValueError):
-            ChaosPlan(behavior="explode")
+    def simulate(spec, obs=None):
+        if spec.key.model == "scripted":
+            return behaviours[spec.key.benchmark]()
+        return real(spec, obs)
 
-    def test_flaky_counts_attempts_across_calls(self, tmp_path):
-        plan = ChaosPlan(behavior="flaky", fail_times=2,
-                         state_file=str(tmp_path / "flaky"))
-        for _ in range(2):
-            with pytest.raises(ChaosError):
-                execute_chaos(plan)
-        assert execute_chaos(plan) == "ok"
+    monkeypatch.setattr(jobs, "simulate", simulate)
+    return behaviours
 
-    def test_chaos_jobs_are_cacheable_specs(self):
-        plan = ChaosPlan(behavior="ok")
-        assert chaos_spec("a", plan).key == chaos_spec("a", plan).key
-        assert chaos_spec("a", plan).key != chaos_spec("b", plan).key
+
+def sleep_for(seconds):
+    def behaviour():
+        time.sleep(seconds)
+        return "ok"
+    return behaviour
+
+
+def exit_worker():
+    os._exit(1)
+
+
+def interrupt():
+    raise KeyboardInterrupt("scripted interrupt")
 
 
 class TestAttemptTimeout:
-    def test_run_attempt_times_out_in_process(self):
-        spec = chaos_spec("sleepy", ChaosPlan(behavior="sleep", seconds=30))
+    def test_run_attempt_times_out_in_process(self, script):
+        script["sleepy"] = sleep_for(30)
         t0 = time.perf_counter()
         with pytest.raises(JobTimeout):
-            run_attempt(spec, timeout_seconds=0.2)
+            run_attempt(scripted("sleepy"), timeout_seconds=0.2)
         assert time.perf_counter() - t0 < 5.0
 
-    def test_inline_timeout_kills_the_job_not_the_pass(self, fresh_caches):
+    @pytest.mark.parametrize("timeout", [0.0, -1.0])
+    def test_rejects_bad_timeout(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            ExperimentRunner(timeout=timeout)
+
+    def test_inline_timeout_kills_the_job_not_the_pass(self, fresh_caches,
+                                                       script):
         # 3s: far below the 30s sleep, far above the count job even on
         # a heavily loaded single-core machine.
-        policy = RetryPolicy(timeout_seconds=3.0, max_retries=1, **FAST)
-        specs = [chaos_spec("sleepy", ChaosPlan(behavior="sleep", seconds=30)),
-                 count_spec(BENCH)]
+        script["sleepy"] = sleep_for(30)
+        specs = [scripted("sleepy"), count_spec(BENCH)]
         t0 = time.perf_counter()
         with pytest.raises(RunnerError) as excinfo:
-            ExperimentRunner(jobs=1, policy=policy).run(specs)
-        assert time.perf_counter() - t0 < 20.0  # not 2 x 30s
+            ExperimentRunner(jobs=1, timeout=3.0).run(specs)
+        assert time.perf_counter() - t0 < 20.0
         stats = excinfo.value.stats
-        assert stats.timeouts == 2  # first attempt + one retry
-        assert stats.retried == 1
+        assert stats.timeouts == 1  # one attempt, no retry
         assert stats.simulated == 1  # the count job survived
-        failed = [r for r in stats.records if r.source == "failed"][0]
-        assert [a.outcome for a in failed.attempts] == ["timeout", "timeout"]
+        [failed] = [r for r in stats.records if r.source == "failed"]
+        assert failed.key == scripted("sleepy").key
         assert "JobTimeout" in failed.error
 
-    def test_pool_timeout_kills_the_worker_not_the_pool(self, fresh_caches):
-        policy = RetryPolicy(timeout_seconds=3.0, max_retries=1, **FAST)
-        specs = [chaos_spec("sleepy", ChaosPlan(behavior="sleep", seconds=30)),
-                 count_spec(BENCH)]
+    def test_pool_timeout_kills_the_worker_not_the_pool(self, fresh_caches,
+                                                        script):
+        script["sleepy"] = sleep_for(30)
+        specs = [scripted("sleepy"), count_spec(BENCH)]
         with pytest.raises(RunnerError) as excinfo:
-            ExperimentRunner(jobs=2, policy=policy).run(specs)
+            ExperimentRunner(jobs=2, timeout=3.0).run(specs)
         stats = excinfo.value.stats
-        assert stats.timeouts == 2
+        assert stats.timeouts == 1
         assert stats.pool_rebuilds == 0  # SIGALRM, not a crash
         assert stats.simulated == 1
         sources = {r.key.model: r.source for r in stats.records}
-        assert sources == {"chaos": "failed", "count": "simulated"}
+        assert sources == {"scripted": "failed", "count": "simulated"}
 
 
 class TestRetries:
-    @pytest.mark.parametrize("n_jobs", [1, 2], ids=["inline", "pool"])
-    def test_flaky_job_retries_then_succeeds(self, fresh_caches, tmp_path,
-                                             n_jobs):
-        plan = ChaosPlan(behavior="flaky", fail_times=2,
-                         state_file=str(tmp_path / "state"))
-        policy = RetryPolicy(max_retries=2, **FAST)
-        stats = ExperimentRunner(jobs=n_jobs, policy=policy).run(
-            [chaos_spec("flaky", plan), count_spec(BENCH)])
-        assert stats.simulated == 2
-        assert stats.failed == 0
-        assert stats.retried == 2
-        record = [r for r in stats.records if r.key.model == "chaos"][0]
-        assert record.source == "simulated"
-        assert [a.outcome for a in record.attempts] == ["error", "error", "ok"]
+    def test_zero_retries_fails_immediately(self, fresh_caches, script,
+                                            tmp_path):
+        """A job is a deterministic function of its key and the code, so
+        a failing job runs once, inline or in the pool: a retry would
+        only repeat it."""
+        tally = tmp_path / "runs"
 
-    def test_retries_exhausted_fails_with_attempt_trail(self, fresh_caches,
-                                                        tmp_path):
-        plan = ChaosPlan(behavior="flaky", fail_times=5,
-                         state_file=str(tmp_path / "state"))
-        policy = RetryPolicy(max_retries=2, **FAST)
-        with pytest.raises(RunnerError) as excinfo:
-            ExperimentRunner(jobs=1, policy=policy).run(
-                [chaos_spec("flaky", plan)])
-        record = excinfo.value.stats.records[0]
-        assert record.source == "failed"
-        assert [a.outcome for a in record.attempts] == 3 * ["error"]
-        assert all("ChaosError" in a.error for a in record.attempts)
+        def fail_and_count():
+            with open(tally, "a", encoding="utf-8") as handle:
+                handle.write("run\n")
+            raise RuntimeError("scripted failure")
 
-    def test_zero_retries_fails_immediately(self, fresh_caches, tmp_path):
-        plan = ChaosPlan(behavior="flaky", fail_times=1,
-                         state_file=str(tmp_path / "state"))
-        policy = RetryPolicy(max_retries=0)
-        with pytest.raises(RunnerError) as excinfo:
-            ExperimentRunner(jobs=1, policy=policy).run(
-                [chaos_spec("flaky", plan)])
-        assert excinfo.value.stats.retried == 0
-        assert len(excinfo.value.stats.records[0].attempts) == 1
+        script["bad"] = fail_and_count
+        for n_jobs in (1, 2):
+            models.clear_cache()
+            tally.write_text("", encoding="utf-8")
+            with pytest.raises(RunnerError) as excinfo:
+                ExperimentRunner(jobs=n_jobs, use_disk_cache=False).run(
+                    [scripted("bad"), count_spec(BENCH)])
+            assert tally.read_text(encoding="utf-8") == "run\n"
+            stats = excinfo.value.stats
+            assert (stats.failed, stats.simulated) == (1, 1)
 
 
 class TestPoolCrashRecovery:
-    def test_worker_crash_rebuilds_pool_and_quarantines_poison(
-            self, fresh_caches):
-        """An ``os._exit`` worker sinks the pool twice; the job is
-        quarantined as poison, the pool rebuilt, and every innocent job
-        still completes."""
-        specs = [
-            chaos_spec("boom", ChaosPlan(behavior="exit", seconds=0.2)),
-            count_spec(BENCH),
-            count_spec("li"),
-        ]
-        policy = RetryPolicy(poison_threshold=2, **FAST)
+    def test_worker_crash_fails_its_job_and_rebuilds_pool(
+            self, fresh_caches, script):
+        """A worker that dies after the other jobs finished fails its
+        own job alone; the pass ends with every other job absorbed."""
+        others = [count_spec(BENCH), count_spec("li")]
+        disk = models.disk_cache()
+
+        def exit_when_others_stored():
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline and any(
+                    disk.load(spec.key) is jobs.MISS for spec in others):
+                time.sleep(0.05)
+            os._exit(1)
+
+        script["boom"] = exit_when_others_stored
         with pytest.raises(RunnerError) as excinfo:
-            ExperimentRunner(jobs=2, policy=policy).run(specs)
+            ExperimentRunner(jobs=2).run([scripted("boom"), *others])
         err = excinfo.value
         stats = err.stats
+        assert stats.pool_rebuilds == 1
+        assert stats.simulated == 2
+        assert [key for key, _ in err.failures] == [scripted("boom").key]
+        assert "BrokenProcessPool" in str(err)
 
-        assert stats.pool_rebuilds == 2  # one per consecutive crash
-        assert stats.poisoned == 1
-        assert stats.simulated == 2  # innocents requeued and completed
-        assert [k.model for k, _ in err.failures] == ["chaos"]
-        assert "poison" in str(err.failures[0][1])
-        poisoned = [r for r in stats.records if r.source == "failed"][0]
-        assert poisoned.key.model == "chaos"
-        assert [a.outcome for a in poisoned.attempts] == ["crash", "crash"]
-
-        # Innocent results were absorbed and are readable.
+        # The other results were absorbed and are readable.
         jobs.reset_simulation_count()
         assert models.run_instruction_count(BENCH) > 0
         assert models.run_instruction_count("li") > 0
         assert jobs.simulation_count() == 0
 
-    def test_abort_tags_pending_victims_not_failures(self, fresh_caches):
-        """With the rebuild budget exhausted, crash suspects are
-        ``"failed"`` (candidate culprits) while never-submitted jobs are
-        ``"aborted"`` — distinct provenance, correct blame."""
-        specs = [
-            chaos_spec("boom", ChaosPlan(behavior="exit")),
-            count_spec("compress"),
-            count_spec("go"),
-            count_spec("perl"),
-            count_spec("m88ksim"),
-        ]
-        policy = RetryPolicy(poison_threshold=99, max_pool_rebuilds=0, **FAST)
-        with pytest.raises(RunnerError) as excinfo:
-            ExperimentRunner(jobs=2, policy=policy).run(specs)
-        err = excinfo.value
-        stats = err.stats
-
-        assert stats.aborted > 0
-        assert stats.aborted == len(err.aborted)
-        assert "aborted" in str(err)
-        by_source = {}
-        for record in stats.records:
-            by_source.setdefault(record.source, []).append(record)
-        # The crashing chaos job is always a failed suspect, never an
-        # aborted victim; aborted records carry no blame.
-        assert "chaos" in {r.key.model for r in by_source["failed"]}
-        assert all(r.key.model == "count" for r in by_source["aborted"])
-        for record in by_source["aborted"]:
-            assert "aborted" in record.error
-            assert record.key in err.aborted
-
-    def test_hard_deadline_kills_wedged_worker(self, fresh_caches):
-        """A job that blocks ``SIGALRM`` outlives its per-attempt itimer;
-        the driver kills its worker at the hard deadline, blames that
-        job alone, and the innocent jobs still complete."""
-        wedge_seconds = 30.0
-        specs = [
-            chaos_spec("wedge", ChaosPlan(behavior="wedge",
-                                          seconds=wedge_seconds)),
-            count_spec(BENCH),
-            count_spec("go"),
-        ]
-        policy = RetryPolicy(timeout_seconds=0.3, hard_timeout_factor=2,
-                             poison_threshold=1, **FAST)
+    def test_crash_fails_jobs_in_flight_and_the_queue_goes_on(
+            self, fresh_caches, script):
+        """The job sharing the pool with a dying worker fails with it;
+        the queued job runs on the rebuilt pool."""
+        script["boom"] = exit_worker
+        script["bystander"] = sleep_for(30)
+        specs = [scripted("bystander"), scripted("boom"), count_spec(BENCH)]
         t0 = time.monotonic()
         with pytest.raises(RunnerError) as excinfo:
-            ExperimentRunner(jobs=2, policy=policy).run(specs)
-        assert time.monotonic() - t0 < wedge_seconds / 3
+            ExperimentRunner(jobs=2).run(specs)
+        assert time.monotonic() - t0 < 20.0
         stats = excinfo.value.stats
+        assert stats.pool_rebuilds == 1
+        sources = {r.key: r.source for r in stats.records}
+        assert sources == {
+            scripted("bystander").key: "failed",
+            scripted("boom").key: "failed",
+            count_spec(BENCH).key: "simulated",
+        }
+        for record in stats.records:
+            if record.source == "failed":
+                assert "BrokenProcessPool" in record.error \
+                    or "BrokenExecutor" in record.error
 
-        assert stats.poisoned == 1
-        assert stats.simulated == 2
-        [wedged] = [r for r in stats.records if r.source == "failed"]
-        assert wedged.key.model == "chaos"
-        [attempt] = wedged.attempts
-        assert attempt.outcome == "timeout"
-        assert "hard deadline" in attempt.error
-        assert "worker killed" in attempt.error
-        assert {r.key.benchmark for r in stats.records
-                if r.source == "simulated"} == {BENCH, "go"}
+    def test_pool_broken_at_submit_requeues_the_job(self, fresh_caches,
+                                                     monkeypatch):
+        """A pool that broke between two waits refuses the next
+        submission; that job has not run, so it goes to the new pool."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-    def test_payload_carries_resilience_counters(self, fresh_caches,
-                                                 tmp_path):
-        plan = ChaosPlan(behavior="flaky", fail_times=1,
-                         state_file=str(tmp_path / "state"))
-        policy = RetryPolicy(max_retries=1, **FAST)
-        stats = ExperimentRunner(jobs=1, policy=policy).run(
-            [chaos_spec("flaky", plan)])
-        payload = stats_payload(stats, scale=1)
-        assert payload["retried"] == 1
+        from repro.eval import runner
+
+        pools = []
+
+        class BreaksOnSecondSubmit(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+                self.submits = 0
+
+            def submit(self, *args, **kwargs):
+                self.submits += 1
+                if self is pools[0] and self.submits == 2:
+                    raise BrokenProcessPool("broken between waits")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor",
+                            BreaksOnSecondSubmit)
+        specs = [count_spec(BENCH), count_spec("li"), count_spec("go")]
+        stats = ExperimentRunner(jobs=2).run(specs)
+        assert (stats.simulated, stats.failed) == (3, 0)
+        assert stats.pool_rebuilds == 1 and len(pools) == 2
+
+    def test_payload_carries_resilience_counters(self, fresh_caches, script):
+        script["sleepy"] = sleep_for(30)
+        with pytest.raises(RunnerError) as excinfo:
+            ExperimentRunner(jobs=1, timeout=3.0).run(
+                [scripted("sleepy"), count_spec(BENCH)])
+        payload = stats_payload(excinfo.value.stats, scale=1)
+        assert payload["failed"] == 1
+        assert payload["timeouts"] == 1
         assert payload["pool_rebuilds"] == 0
-        assert payload["poisoned"] == 0
-        assert payload["aborted"] == 0
-        [row] = [r for r in payload["per_job"] if r["job"].startswith("chaos")]
-        assert [a["outcome"] for a in row["attempts"]] == ["error", "ok"]
+        [row] = [r for r in payload["per_job"] if r["source"] == "failed"]
+        assert "JobTimeout" in row["error"]
 
 
 class TestCheckpointResume:
-    def test_interrupted_pass_resumes_from_disk(self, fresh_caches):
+    def test_interrupted_pass_resumes_from_disk(self, fresh_caches, script):
         """Jobs absorbed before an interrupt are never re-simulated:
         the disk cache is the checkpoint."""
-        interrupting = chaos_spec("ctrl-c", ChaosPlan(behavior="interrupt"))
-        # Weight ordering runs the real jobs before the weight-1 chaos
-        # job, so the interrupt fires after they were absorbed.
-        specs = [count_spec(BENCH), count_spec("li"), interrupting]
+        script["ctrl-c"] = interrupt
+        # The runner keeps the caller's order, so the interrupt fires
+        # after the two real jobs were absorbed.
+        specs = [count_spec(BENCH), count_spec("li"), scripted("ctrl-c")]
         with pytest.raises(KeyboardInterrupt):
             ExperimentRunner(jobs=1).run(specs)
 
@@ -297,35 +250,18 @@ class TestCheckpointResume:
         # jobs are disk hits, only the unfinished job simulates.
         models.clear_cache()
         jobs.reset_simulation_count()
-        resumed = [count_spec(BENCH), count_spec("li"),
-                   chaos_spec("ok-now", ChaosPlan(behavior="ok"))]
+        resumed = [count_spec(BENCH), count_spec("li"), count_spec("go")]
         stats = ExperimentRunner(jobs=1).run(resumed)
         assert stats.disk_hits == 2
         assert stats.simulated == 1
         assert jobs.simulation_count() == 1
 
-    def test_warm_rerun_after_failure_is_pure_hits(self, fresh_caches,
-                                                   tmp_path):
-        plan = ChaosPlan(behavior="flaky", fail_times=99,
-                         state_file=str(tmp_path / "state"))
-        specs = [count_spec(BENCH), chaos_spec("bad", plan)]
-        policy = RetryPolicy(max_retries=0)
+    def test_warm_rerun_after_failure_is_pure_hits(self, fresh_caches):
+        specs = [count_spec(BENCH), JobSpec(JobKey("bogus", BENCH))]
         with pytest.raises(RunnerError):
-            ExperimentRunner(jobs=1, policy=policy).run(specs)
+            ExperimentRunner(jobs=1).run(specs)
         models.clear_cache()
         jobs.reset_simulation_count()
-        stats = ExperimentRunner(jobs=1, policy=policy).run(
-            [count_spec(BENCH)])
+        stats = ExperimentRunner(jobs=1).run([count_spec(BENCH)])
         assert stats.disk_hits == 1
         assert jobs.simulation_count() == 0
-
-
-class TestAttemptRecord:
-    def test_json_round_trip_shape(self):
-        record = AttemptRecord(0, "timeout", 1.23456, error="JobTimeout: x")
-        assert record.to_json() == {
-            "index": 0, "outcome": "timeout", "seconds": 1.2346,
-            "error": "JobTimeout: x",
-        }
-        ok = AttemptRecord(1, "ok", 0.5)
-        assert "error" not in ok.to_json()

@@ -1,6 +1,6 @@
 """The parallel experiment runner: dedup, parallel==sequential identity,
-warm-cache runs performing zero simulations, and failure handling (one
-bad job must not lose the pass)."""
+warm-cache runs performing zero simulations, submission in the caller's
+order, and failure handling (one bad job must not lose the pass)."""
 
 import os
 import warnings
@@ -288,51 +288,26 @@ class TestSchedulingOverhaul:
         payload = stats_payload(warm, scale=1)
         assert payload["speedup_vs_sequential"] is None
 
-    def test_duration_oracle_persists_measured_costs(self, fresh_caches):
-        from repro.eval.oracle import ORACLE_FILENAME, DurationOracle
 
-        specs = small_specs()
-        ExperimentRunner(jobs=1).run(specs)
-        oracle_path = fresh_caches / ORACLE_FILENAME
-        assert oracle_path.is_file()
-        oracle = DurationOracle(oracle_path)
-        assert len(oracle) == len(specs)
-        # Learned durations order the CMP co-simulation (the sweep's
-        # heavyweight) ahead of the functional count job.
-        assert (oracle.estimate(slipstream_spec(BENCH).key)
-                > oracle.estimate(count_spec(BENCH).key))
+class TestOrder:
+    def test_cold_jobs_run_once_in_the_given_order(self, fresh_caches,
+                                                   monkeypatch):
+        """The runner neither reorders nor retries: a cheap job given
+        first runs first, and a failing job runs once."""
+        calls = []
 
-    def test_oracle_degrades_on_corrupt_file(self, tmp_path):
-        from repro.eval.oracle import DurationOracle
+        def simulate(spec, obs=None):
+            calls.append(spec.key.model)
+            if spec.key.model == "bogus":
+                raise ValueError("bogus job")
+            return 0
 
-        path = tmp_path / "durations.json"
-        path.write_text("{not json", encoding="utf-8")
-        oracle = DurationOracle(path)
-        assert len(oracle) == 0
-        key = count_spec(BENCH).key
-        # Empty oracle: static model weight times the unit scale.
-        assert oracle.estimate(key) == 1.0
-        oracle.observe(key, 2.0)
-        oracle.save()
-        assert DurationOracle(path).estimate(key) == 2.0
-
-    def test_oracle_family_fallback_survives_refingerprint(self, tmp_path):
-        from dataclasses import replace
-
-        from repro.eval.oracle import DurationOracle
-
-        oracle = DurationOracle(tmp_path / "durations.json")
-        key = replace(slipstream_spec(BENCH).key, config_fingerprint="aaaa")
-        oracle.observe(key, 5.0)
-        # A config tweak re-fingerprints the job: the exact digest is
-        # unknown but the family estimate carries the learned cost.
-        tweaked = replace(key, config_fingerprint="bbbb")
-        assert oracle.estimate(tweaked) == 5.0
-        # A different benchmark is a different family: static weights.
-        other = replace(tweaked, benchmark="other-bench")
-        assert oracle.estimate(other) != 5.0
-        oracle.save()
-        assert DurationOracle(oracle.path).estimate(tweaked) == 5.0
+        monkeypatch.setattr(jobs, "simulate", simulate)
+        with pytest.raises(RunnerError):
+            ExperimentRunner(jobs=1).run(
+                [count_spec(BENCH), slipstream_spec(BENCH), bogus_spec(),
+                 baseline_spec(BENCH)])
+        assert calls == ["count", "cmp", "bogus", "ss64"]
 
 
 class TestOversubscription:

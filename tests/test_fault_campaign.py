@@ -29,7 +29,9 @@ from repro.fault.coverage import (
     InjectionResult,
     hang_budget,
     inject_one,
+    reset_timeline_tally,
     run_campaign,
+    timeline_snapshot,
 )
 from repro.fault.ecc import PROTECTED_SITES, ECCModel
 from repro.fault.injector import FaultSite, TransientFault
@@ -327,6 +329,29 @@ class TestScaledCampaign:
         parallel_path = write_fault_bench(parallel, tmp_path / "par.json")
         assert inline_path.read_bytes() == parallel_path.read_bytes()
 
+    def test_rerun_on_a_stale_cache_root_keeps_the_timeline_order(
+            self, fresh_caches, tmp_path):
+        """A campaign re-run on the same cache root after its results
+        went stale (any code edit) submits its points in the same
+        order, so its clean timeline starts as often as on a fresh
+        root."""
+        config = CampaignConfig(benchmarks=(BENCH,),
+                                modes=("slipstream", "decorrelated"),
+                                points_per_benchmark=3, seed=2000)
+
+        def starts_of_one_pass():
+            models.clear_cache()
+            reset_timeline_tally()
+            result, _ = run_scaled_campaign(config, jobs=1)
+            write_fault_bench(result, tmp_path / "bench.json")
+            return (timeline_snapshot()["starts"],
+                    (tmp_path / "bench.json").read_bytes())
+
+        first = starts_of_one_pass()
+        for entry in fresh_caches.glob("**/*.pkl"):
+            entry.unlink()
+        assert starts_of_one_pass() == first
+
     def test_detection_latency_metrics_populated(self, fresh_caches):
         result, _ = run_scaled_campaign(CampaignConfig(**SMALL))
         snapshot = result.metrics().snapshot()
@@ -522,7 +547,7 @@ class TestFaultCLI:
         ["--points", "0"],
         ["--jobs", "0"],
         ["--timeout", "-1"],
-        ["--retries", "-1"],
+        ["--timeout", "0"],
     ])
     def test_cli_rejects_bad_number_before_simulating(self, fresh_caches,
                                                        capsys, flag):

@@ -12,6 +12,8 @@ from repro.core.slipstream import (
     SlipstreamProcessor,
 )
 from repro.isa.assembler import assemble
+from repro.trace.predictor import TracePredictorConfig
+from repro.uarch.config import CoreConfig
 
 
 def check(source, **config_kwargs):
@@ -329,3 +331,46 @@ class TestConfigRanges:
     ])
     def test_boundary_values_are_valid(self, field, value):
         assert getattr(SlipstreamConfig(**{field: value}), field) == value
+
+    @pytest.mark.parametrize("config_class, field, value", [
+        (CoreConfig, "fetch_width", 0),
+        (CoreConfig, "dispatch_width", 0),
+        (CoreConfig, "issue_width", -1),
+        (CoreConfig, "retire_width", 0),
+        (CoreConfig, "rob_size", 0),
+        (CoreConfig, "frontend_depth", 0),
+        (CoreConfig, "redirect_penalty", -1),
+        (CoreConfig, "rob_size", 64.0),
+        (TracePredictorConfig, "index_bits", 0),
+        (TracePredictorConfig, "path_depth", 0),
+        (TracePredictorConfig, "counter_max", 0),
+        (TracePredictorConfig, "index_bits", "16"),
+    ])
+    def test_nested_config_out_of_range_raises(self, config_class, field,
+                                               value):
+        """The core and trace-predictor configs a ``SlipstreamConfig``
+        nests fail the same way, naming their own class."""
+        start = time.monotonic()
+        with pytest.raises(ConfigError) as info:
+            config_class(**{field: value})
+        assert time.monotonic() - start < 1.0
+        error = info.value
+        assert (error.config, error.field, error.value) == (
+            config_class.__name__, field, value)
+        assert f"{config_class.__name__}.{field}" in str(error)
+
+    @pytest.mark.parametrize("config_class, field, value", [
+        (CoreConfig, "redirect_penalty", 0),
+        (CoreConfig, "frontend_depth", 1),
+        (CoreConfig, "rob_size", 1),
+        (TracePredictorConfig, "index_bits", 1),
+        (TracePredictorConfig, "path_depth", 1),
+        (TracePredictorConfig, "counter_max", 1),
+    ])
+    def test_nested_boundary_values_are_valid(self, config_class, field,
+                                              value):
+        assert getattr(config_class(**{field: value}), field) == value
+
+    def test_derived_core_is_checked(self):
+        with pytest.raises(ConfigError, match="rob_size"):
+            CoreConfig().scaled("bad", rob_size=0, width=4)

@@ -187,3 +187,32 @@ class TestThroughput:
         for _ in range(100):
             sched.add(alu())
         assert sched.total_cycles >= c1
+
+
+class TestFork:
+    def _busy(self):
+        """A scheduler with many issue cycles behind its dispatch point:
+        long-latency producers and their consumers spread issue out."""
+        sched = OoOScheduler(small_config())
+        for i in range(300):
+            sched.add(alu(new_block=(i % 4 == 0), srcs=((i % 5) + 1,),
+                          dest=(i % 7) + 1, latency=1 + (i % 3) * 4))
+        return sched
+
+    def test_fork_drops_issue_cycles_below_last_dispatch(self):
+        sched = self._busy()
+        assert min(sched._issue_count) < sched._last_dispatch
+        forked = sched.fork()
+        assert forked._issue_count
+        assert min(forked._issue_count) >= forked._last_dispatch
+        # The source keeps its own table.
+        assert min(sched._issue_count) < sched._last_dispatch
+
+    def test_pruned_fork_schedules_like_its_source(self):
+        sched = self._busy()
+        forked = sched.fork()
+        tail = [alu(new_block=(i % 3 == 0), srcs=((i % 4) + 1,),
+                    dest=(i % 6) + 1, latency=1 + (i % 5))
+                for i in range(200)]
+        assert [forked.add(t) for t in tail] == [sched.add(t) for t in tail]
+        assert forked.total_cycles == sched.total_cycles
