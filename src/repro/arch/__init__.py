@@ -14,7 +14,7 @@ from repro.arch.compiled import (
     compiled_for,
     resolve_engine,
 )
-from repro.arch.functional import FunctionalSimulator, RunResult
+from repro.arch.functional import FunctionalSimulator, RunResult, advance
 
 __all__ = [
     "ArchState",
@@ -29,4 +29,5 @@ __all__ = [
     "resolve_engine",
     "FunctionalSimulator",
     "RunResult",
+    "advance",
 ]

@@ -648,18 +648,22 @@ class CompiledProgram:
         self._blocks[pc] = block
         return block
 
-    def run(self, state: ArchState, pc: int, budget: int) -> Tuple[int, bool]:
+    def run(
+        self, state: ArchState, pc: int, budget: int
+    ) -> Tuple[int, bool, int]:
         """Execute until ``halt`` or ``budget`` instructions, block-wise.
 
-        Returns ``(instructions_executed, halt_observed)``; the caller
-        raises its budget-exceeded error when ``halt_observed`` is
-        False.  Matches the interpreter loop exactly, including the
-        degenerate cases (zero budget, a state already halted on entry —
-        the interpreter still executes instructions until it observes
-        ``state.halted`` after a step).
+        Returns ``(instructions_executed, halt_observed, next_pc)``; the
+        caller raises its budget-exceeded error when ``halt_observed``
+        is False.  ``next_pc`` is the PC the next instruction would
+        execute at (the ``halt``'s own PC after a halt).  Matches the
+        interpreter loop exactly, including the degenerate cases (zero
+        budget, a state already halted on entry — the interpreter still
+        executes instructions until it observes ``state.halted`` after a
+        step).
         """
         if budget <= 0:
-            return 0, False
+            return 0, False, pc
         step_funcs = self.step_funcs
         program = self.program
         if state.halted:
@@ -670,7 +674,7 @@ class CompiledProgram:
                 f(state, 0)
             else:
                 execute_one(program, state, pc, 0)
-            return 1, True
+            return 1, True, pc
         blocks = self._blocks
         blocks_get = blocks.get
         count = 0
@@ -687,19 +691,19 @@ class CompiledProgram:
                            else execute_one(program, state, pc, count))
                     count += 1
                     if state.halted:
-                        return count, True
+                        return count, True, pc
                     pc = dyn.next_pc
-                return count, False
+                return count, False, pc
             for f in bodies:
                 f(state)
             count += n
             if term is not None:
                 pc = term(state)
                 if state.halted:
-                    return count, True
+                    return count, True, pc
             else:
                 pc = fall
-        return count, False
+        return count, False, pc
 
 
 # ``Program`` is an eq-comparing dataclass (unhashable), so per-program

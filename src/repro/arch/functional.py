@@ -24,7 +24,7 @@ Two execution engines produce bit-identical results (asserted by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.arch.compiled import CompiledProgram, compiled_for, resolve_engine
 from repro.arch.executor import DynInstr, execute_one
@@ -47,6 +47,37 @@ class RunResult:
     @property
     def halted(self) -> bool:
         return self.state.halted
+
+
+def advance(
+    program: Program,
+    state: ArchState,
+    pc: int,
+    count: int,
+    engine: Optional[str] = None,
+) -> Tuple[int, int]:
+    """Execute ``count`` instructions of ``program`` on ``state`` from
+    ``pc``, stopping early after a ``halt``.
+
+    Returns ``(executed, next_pc)``: ``executed`` is below ``count``
+    only when the run halted, and ``next_pc`` is where the next
+    instruction would execute (the ``halt``'s own PC after a halt).  A
+    trap raises the interpreter's error and leaves ``state`` as the
+    trapping instruction found it.  ``engine`` is resolved by
+    :func:`~repro.arch.compiled.resolve_engine`; both engines stop at
+    the same state and PC.
+    """
+    if resolve_engine(engine) == "compiled":
+        executed, _halted, pc = compiled_for(program).run(state, pc, count)
+        return executed, pc
+    executed = 0
+    while executed < count:
+        dyn = execute_one(program, state, pc, seq=executed)
+        executed += 1
+        if state.halted:
+            break
+        pc = dyn.next_pc
+    return executed, pc
 
 
 class FunctionalSimulator:
@@ -116,19 +147,12 @@ class FunctionalSimulator:
             state = self.fresh_state()
         if pc is None:
             pc = self.program.entry
-        if self._compiled is not None:
-            count, halted = self._compiled.run(
-                state, pc, self.max_instructions
+        count, _pc = advance(self.program, state, pc, self.max_instructions,
+                             self.engine)
+        # A zero budget executes nothing, so it observes no halt even on
+        # a context that is already halted.
+        if not (count and state.halted):
+            raise InstructionLimitExceeded(
+                f"{self.program.name} exceeded {self.max_instructions} instructions"
             )
-            if not halted:
-                raise InstructionLimitExceeded(
-                    f"{self.program.name} exceeded "
-                    f"{self.max_instructions} instructions"
-                )
-            return RunResult(
-                state=state, instruction_count=count, output=state.output
-            )
-        count = 0
-        for _ in self.steps(state, pc):
-            count += 1
         return RunResult(state=state, instruction_count=count, output=state.output)

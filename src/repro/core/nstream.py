@@ -44,6 +44,22 @@ error — how a replica traps.  The interpreter is the same loop with an
 empty closure map.  When all TMR signatures agree (every retirement of
 a clean run), the voter takes stream 0 without building a tally; any
 disagreement or trap goes through the full majority count.
+
+A struck run simulates only what the strike can change.  A hook with a
+``quiet_until`` attribute (:class:`repro.fault.injector.FaultInjector`)
+alters no retirement before that seq, so both engines run the prefix
+with :func:`repro.arch.advance` on one fault-free state: TMR forks it
+into the replicas, and replay starts at the last window boundary before
+the strike with the clean run's window counters, which follow from the
+boundary alone, and a fork of the state as its shadow.  A TMR hook that
+also reports ``spent`` hands the rest of the run to ``advance`` once the
+replicas are equal again after the strike (right after the repairing
+vote, or at once when the strike wrote nothing): replicas 1..N-1 are
+never struck and a repair writes only the minority, so every later vote
+would be unanimous on the fault-free path.  Results are bit-identical to
+offering the hook every retirement; DESIGN.md §7.12 states the rules.
+A run that stops because the program traps names the trap in its
+``SimulationError``.
 """
 
 from __future__ import annotations
@@ -53,9 +69,10 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.arch.compiled import StepFn, compiled_for, resolve_engine
 from repro.arch.executor import DynInstr, ExecutionError, execute_one
+from repro.arch.functional import advance
 from repro.arch.state import ArchState
 from repro.core.recovery import RecoveryCost
-from repro.core.slipstream import FaultHook, SimulationError
+from repro.core.slipstream import FaultHook, SimulationError, trap_note
 from repro.isa.program import Program
 
 #: Matches SlipstreamConfig.max_instructions' default budget.
@@ -127,6 +144,18 @@ def _repair_state(broken: ArchState, good: ArchState) -> int:
     return len(differing)
 
 
+def _same_state(a: ArchState, b: ArchState) -> bool:
+    """Equal registers, memory contents, output and halt flag."""
+    return (a.regs == b.regs and a.output == b.output
+            and a.halted == b.halted
+            and not a.mem.differing_addresses(b.mem))
+
+
+def _quiet_until(hook: Optional[FaultHook]) -> int:
+    """The first seq ``hook`` may alter (0 unless it says so)."""
+    return getattr(hook, "quiet_until", 0) if hook is not None else 0
+
+
 class TMRProcessor:
     """Lockstep N-modular redundancy with majority voting at retirement.
 
@@ -162,14 +191,17 @@ class TMRProcessor:
         n_streams = self.n_streams
         majority_needed = n_streams // 2 + 1
         step_get = _step_lookup(program, self.engine)
-        states = [ArchState(image=program.data) for _ in range(n_streams)]
-        pc = program.entry
-        retired = 0
+        quiet = _quiet_until(hook)
+        states, pc, retired = self._clean_prefix(quiet)
+        output = list(states[0].output)
+        halted = states[0].halted
+        # The repaired tail (see the module docstring) needs a hook that
+        # says when it has done all it will do.
+        watch = hook is not None and hasattr(hook, "spent")
+        spent = False
         detections = 0
         recoveries: List[Tuple[int, int]] = []
         extra_cycles = 0
-        output: List[int] = []
-        halted = False
         while not halted:
             if retired >= self.max_instructions:
                 raise SimulationError(
@@ -177,14 +209,16 @@ class TMRProcessor:
                 )
             step = step_get(pc)
             signatures: List[tuple] = []
+            trap: Optional[Exception] = None
             for index, state in enumerate(states):
                 try:
                     if step is not None:
                         dyn = step(state, retired)
                     else:
                         dyn = execute_one(program, state, pc, seq=retired)
-                except (ExecutionError, ValueError, IndexError):
+                except (ExecutionError, ValueError, IndexError) as exc:
                     signatures.append(_TRAP)
+                    trap = exc
                     continue
                 if index == 0 and hook is not None:
                     # The campaign's single-fault model strikes one
@@ -194,6 +228,7 @@ class TMRProcessor:
                 signatures.append(_signature(dyn))
             voted_sig = signatures[0]
             retired += 1
+            repaired = False
             if voted_sig is not _TRAP \
                     and signatures.count(voted_sig) == n_streams:
                 # Unanimous: stream 0 wins and nothing needs repair.
@@ -206,10 +241,12 @@ class TMRProcessor:
                 if votes < majority_needed or voted_sig is _TRAP:
                     raise SimulationError(
                         f"no majority among {n_streams} streams at pc {pc:#x}"
+                        + (trap_note(trap) if voted_sig is _TRAP else "")
                     )
                 voted_state = states[signatures.index(voted_sig)]
                 # Not unanimous, so the minority is never empty.
                 detections += 1
+                repaired = True
                 for index, sig in enumerate(signatures):
                     if sig != voted_sig:
                         differing = _repair_state(states[index], voted_state)
@@ -222,6 +259,19 @@ class TMRProcessor:
                 output.append(voted_sig[4])
             pc = voted_sig[3]
             halted = voted_state.halted
+            if watch and not halted and retired > quiet:
+                # Replica 0 is clean again right after a repair, or at
+                # once when the spent strike left it equal to the rest.
+                clean = repaired
+                if not spent and getattr(hook, "spent"):
+                    spent = True
+                    clean = clean or _same_state(states[0], states[1])
+                if spent and clean:
+                    tail = self._clean_tail(states, pc, retired, output)
+                    if tail is not None:
+                        retired = tail
+                        break
+                    watch = False
         base = self.base_cycles if self.base_cycles is not None else retired
         return NStreamResult(
             mode="tmr",
@@ -232,6 +282,58 @@ class TMRProcessor:
             detections=detections,
             recoveries=recoveries,
         )
+
+    def _clean_prefix(self, quiet: int) -> Tuple[List[ArchState], int, int]:
+        """The replicas, PC and retired count after the first ``quiet``
+        retirements, which no strike touches: one fault-free run forked
+        ``n_streams`` ways.  A clean program that traps in that prefix
+        starts from the entry instead, so the voter reports the trap."""
+        program = self.program
+        if quiet > 0:
+            state = ArchState(image=program.data)
+            try:
+                retired, pc = advance(
+                    program, state, program.entry,
+                    min(quiet, self.max_instructions), self.engine,
+                )
+            except (ExecutionError, ValueError, IndexError):
+                pass
+            else:
+                forks = [state.fork() for _ in range(self.n_streams - 1)]
+                return [state] + forks, pc, retired
+        states = [ArchState(image=program.data) for _ in range(self.n_streams)]
+        return states, program.entry, 0
+
+    def _clean_tail(
+        self, states: List[ArchState], pc: int, retired: int,
+        output: List[int],
+    ) -> Optional[int]:
+        """Finish a run whose replicas are all clean again on the
+        functional engine; returns the final retired count.
+
+        Every later vote would be unanimous on the fault-free path, so
+        the rest of the run is the functional run from replica 0's state
+        within the remaining budget, and it overruns exactly when the
+        lockstep loop would.  A clean continuation that traps returns
+        None with replica 0 reset from replica 1, so the caller's loop
+        reaches the trap and reports it as before.
+        """
+        tail = states[0]
+        before = len(tail.output)
+        try:
+            executed, _pc = advance(
+                self.program, tail, pc, self.max_instructions - retired,
+                self.engine,
+            )
+        except (ExecutionError, ValueError, IndexError):
+            states[0] = states[1].fork()
+            return None
+        if not tail.halted:
+            raise SimulationError(
+                f"TMR run exceeded {self.max_instructions} instructions"
+            )
+        output.extend(tail.output[before:])
+        return retired + executed
 
 
 class ReplayWindowProcessor:
@@ -275,22 +377,19 @@ class ReplayWindowProcessor:
         program = self.program
         hook = self.fault_hook
         step_get = _step_lookup(program, self.engine)
-        primary = ArchState(image=program.data)
+        primary, pc, windows = self._clean_prefix(_quiet_until(hook))
         shadow = primary.fork()
-        pc = program.entry
-        retired = 0
-        seq = 0
+        retired = seq = windows * self.window_len
+        replayed_windows = -(-windows // self.scrub_interval)
+        replayed_instructions = replayed_windows * self.window_len
+        extra_cycles = replayed_windows * REPLAY_WINDOW_DRAIN
         detections = 0
         recoveries: List[Tuple[int, int]] = []
-        windows = 0
-        replayed_windows = 0
-        replayed_instructions = 0
-        extra_cycles = 0
         last_trap: Optional[Tuple[int, int]] = None
         while not primary.halted:
             window_start_pc = pc
             recorded: List[DynInstr] = []
-            trapped = False
+            trap: Optional[Exception] = None
             while len(recorded) < self.window_len and not primary.halted:
                 if retired >= self.max_instructions:
                     raise SimulationError(
@@ -303,8 +402,8 @@ class ReplayWindowProcessor:
                         dyn = step(primary, seq)
                     else:
                         dyn = execute_one(program, primary, pc, seq=seq)
-                except (ExecutionError, ValueError, IndexError):
-                    trapped = True
+                except (ExecutionError, ValueError, IndexError) as exc:
+                    trap = exc
                     break
                 seq += 1
                 retired += 1
@@ -314,6 +413,7 @@ class ReplayWindowProcessor:
                     dyn = hook("R", dyn, primary, False)
                 recorded.append(dyn)
                 pc = dyn.next_pc
+            trapped = trap is not None
             if trapped:
                 # A trap with no retirement progress since the last trap
                 # means the replayed continuation traps too: the machine
@@ -321,6 +421,7 @@ class ReplayWindowProcessor:
                 if last_trap == (retired, pc):
                     raise SimulationError(
                         f"replay machine wedged at pc {pc:#x}"
+                        + trap_note(trap)
                     )
                 last_trap = (retired, pc)
             windows += 1
@@ -360,6 +461,34 @@ class ReplayWindowProcessor:
             replayed_windows=replayed_windows,
             replayed_instructions=replayed_instructions,
         )
+
+    def _clean_prefix(self, quiet: int) -> Tuple[ArchState, int, int]:
+        """The primary, PC and window count at the last window boundary
+        at or before seq ``quiet``, which no strike reaches.
+
+        A clean run's counters at boundary ``w * window_len`` follow
+        from ``w`` alone (every ``scrub_interval``-th window, the first
+        included, replays all ``window_len`` of its instructions and
+        matches), and its shadow equals the primary there in content,
+        so a fork of the fault-free state stands in for it.  A prefix
+        that halts or traps (the strike never fires) starts from the
+        entry instead, exactly as without the hook.
+        """
+        program = self.program
+        windows = min(quiet, self.max_instructions) // self.window_len
+        if windows:
+            state = ArchState(image=program.data)
+            try:
+                _executed, pc = advance(
+                    program, state, program.entry,
+                    windows * self.window_len, self.engine,
+                )
+            except (ExecutionError, ValueError, IndexError):
+                pass
+            else:
+                if not state.halted:
+                    return state, pc, windows
+        return ArchState(image=program.data), program.entry, 0
 
     def _replay(
         self,

@@ -96,6 +96,14 @@ class SimulationError(Exception):
     """The co-simulation failed to make forward progress."""
 
 
+def trap_note(trap: Optional[Exception]) -> str:
+    """The architectural trap behind a :class:`SimulationError`, as a
+    suffix for its message (empty when there is none)."""
+    if trap is None:
+        return ""
+    return f" ({type(trap).__name__}: {trap})"
+
+
 _REMOVAL_MECHANISMS = ("trace", "pc")
 _REMOVAL_TRIGGERS = ("BR", "WW", "SV")
 
@@ -534,6 +542,17 @@ class SlipstreamProcessor:
             self._finalize_obs(obs)
         return result
 
+    def _trap_at_r_pc(self) -> str:
+        """The architectural trap of the instruction at the R-stream's
+        PC, for the watchdog's message (empty when it does not trap).
+        Probed on a fork, so the machine's own state is untouched."""
+        try:
+            execute_one(self.program, self.r_state.fork(), self.r_pc,
+                        seq=self._r_seq)
+        except (ExecutionError, ValueError, IndexError) as exc:
+            return trap_note(exc)
+        return ""
+
     def step(self) -> None:
         """Co-simulate one trace: the A-phase, then the R-phase that
         consumes its outcome group.  Call only while the R-stream has
@@ -555,6 +574,7 @@ class SlipstreamProcessor:
             raise SimulationError(
                 f"{self.program.name}: no forward progress at "
                 f"r_pc={self.r_pc:#x}, r_seq={self._r_seq}"
+                + self._trap_at_r_pc()
             )
         limit = self.config.max_instructions
         if self.retired > limit:

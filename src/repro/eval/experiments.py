@@ -360,12 +360,14 @@ def redundancy_frontier_study(
     points: Optional[int] = None,
     seed: Optional[int] = None,
     scale: int = 1,
+    jobs: int = 1,
 ):
     """The coverage-vs-throughput frontier: one seeded multi-mode
     campaign striking every :data:`~repro.core.modes.CAMPAIGN_MODES`
     entry, whose per-mode coverage / IPC / detection-latency rows the
     report renders (returns a
-    :class:`~repro.fault.campaign.ScaledCampaignResult`)."""
+    :class:`~repro.fault.campaign.ScaledCampaignResult`).  ``jobs``
+    workers run its cold strike points."""
     from repro.core.modes import CAMPAIGN_MODES
     from repro.eval.jobs import (
         FRONTIER_BENCHMARKS, FRONTIER_POINTS, FRONTIER_SEED,
@@ -379,7 +381,7 @@ def redundancy_frontier_study(
         seed=seed if seed is not None else FRONTIER_SEED,
         modes=CAMPAIGN_MODES,
     )
-    result, _stats = run_scaled_campaign(config, jobs=1)
+    result, _stats = run_scaled_campaign(config, jobs=jobs)
     return result
 
 

@@ -452,6 +452,13 @@ def inject_one_nstream(
     campaign enables ECC, and a correct-output detected run classifies
     as ``MASKED_BY_VOTE``, never ``ECC_CORRECTED``.  The replay mode
     has no voter; its ECC model applies as in the slipstream machine.
+
+    The struck run starts at the strike: the engine reads the
+    injector's ``quiet_until`` and runs the fault-free prefix on the
+    functional engine (replay from the window boundary before it), and
+    a TMR run whose replicas are clean again after the vote finishes
+    there too.  The result is the one offering the injector every
+    retirement from the entry gives.
     """
     from repro.core.nstream import (
         DEFAULT_MAX_INSTRUCTIONS,

@@ -74,6 +74,10 @@ class FaultSite(enum.Enum):
 
 _CORRELATED = FaultSite.CORRELATED
 
+#: The sites that strike the R-stream alone (the only ones the N-stream
+#: modes offer: there is no A-stream there).
+R_SITES = (FaultSite.R_TRANSIENT, FaultSite.R_ARCH)
+
 #: Sites whose ``target_seq`` counts A-stream executions; the others
 #: count R-stream retirements.  A ``CORRELATED`` strike lands on the
 #: A-stream first; its R-stream companion is located by pc + value.
@@ -160,6 +164,13 @@ class FaultInjector:
     at most once, and ``proven_at`` records the R-stream seq it proved
     the hang at.  TMR and replay take no probe: voting and rollback
     mean a single replica's tail is not the architectural one.
+
+    Two read-only properties tell a machine which retirements the
+    injector can alter: it alters none before seq :attr:`quiet_until`,
+    and none at all once :attr:`spent`.  The N-stream machines
+    (:mod:`repro.core.nstream`) read them to run the fault-free prefix
+    (and TMR's repaired tail) on the functional engine instead of
+    offering each of those retirements to the hook.
     """
 
     def __init__(self, fault: TransientFault, ecc: Optional["ECCModel"] = None,
@@ -183,6 +194,25 @@ class FaultInjector:
         self._probe_seq = clean_retired if program is not None else -1
         self.proven_at: Optional[int] = None
 
+    @property
+    def quiet_until(self) -> int:
+        """The first seq this injector may alter: ``target_seq`` for
+        the R-stream sites, whose strike lands on exactly that R seq,
+        and 0 for the A-numbered sites (their seqs count another
+        stream).  An armed hang probe needs no lower value: before the
+        strike has fired it only disarms itself."""
+        if self.fault.site in R_SITES:
+            return self.fault.target_seq
+        return 0
+
+    @property
+    def spent(self) -> bool:
+        """True once the injector will alter no later retirement: the
+        strike has fired, no ``CORRELATED`` companion is pending and no
+        hang probe is still armed."""
+        return (self.report.fired and self._companion_pc is None
+                and self._probe_seq == -1)
+
     def __call__(
         self, stream: str, dyn: DynInstr, state: ArchState, compared: bool
     ) -> DynInstr:
@@ -200,7 +230,7 @@ class FaultInjector:
             return dyn
         if fault.site is FaultSite.A_RESULT and stream != "A":
             return dyn
-        if fault.site in (FaultSite.R_TRANSIENT, FaultSite.R_ARCH) and stream != "R":
+        if fault.site in R_SITES and stream != "R":
             return dyn
         if dyn.value is None:
             # The targeted instruction produces no value (branch, nop);

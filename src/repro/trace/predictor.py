@@ -36,7 +36,13 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.trace.trace_id import TraceId
-from repro.fingerprint import check_lower_bounds
+from repro.fingerprint import ConfigError, check_lower_bounds
+
+
+#: Largest ``TracePredictorConfig.index_bits``.  The predictor builds
+#: two tables of ``2**index_bits`` slots, so the cap keeps a bad config
+#: from asking for terabytes (20 bits is about a million slots each).
+MAX_INDEX_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,10 @@ class TracePredictorConfig:
         :class:`~repro.fingerprint.ConfigError`."""
         check_lower_bounds(self, (("index_bits", 1), ("path_depth", 1),
                                   ("counter_max", 1)))
+        if self.index_bits > MAX_INDEX_BITS:
+            raise ConfigError(type(self).__name__, "index_bits",
+                              self.index_bits,
+                              f"must be an integer <= {MAX_INDEX_BITS}")
 
     @property
     def table_size(self) -> int:

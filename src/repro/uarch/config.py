@@ -4,8 +4,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.fingerprint import check_lower_bounds
+from repro.fingerprint import ConfigError, check_lower_bounds
 from repro.fingerprint import fingerprint as _fingerprint
+
+
+#: (field, least valid value) of every :class:`CacheConfig` field.
+_CACHE_LOWER_BOUNDS = (
+    ("size_bytes", 1),
+    ("assoc", 1),
+    ("line_bytes", 1),
+    ("miss_penalty", 0),
+)
 
 
 @dataclass(frozen=True)
@@ -18,8 +27,15 @@ class CacheConfig:
     miss_penalty: int
 
     def __post_init__(self) -> None:
-        if self.size_bytes % (self.assoc * self.line_bytes):
-            raise ValueError("cache size must be a multiple of assoc * line size")
+        """Reject an out-of-range field or a size that is not a whole
+        number of sets with one :class:`~repro.fingerprint.ConfigError`."""
+        check_lower_bounds(self, _CACHE_LOWER_BOUNDS)
+        set_bytes = self.assoc * self.line_bytes
+        if self.size_bytes % set_bytes:
+            raise ConfigError(
+                type(self).__name__, "size_bytes", self.size_bytes,
+                f"must be a multiple of assoc * line_bytes = {set_bytes}",
+            )
 
     @property
     def num_sets(self) -> int:

@@ -66,6 +66,10 @@ SCRUBBED_ADD = 11
 ESCAPED_ADDS = (65, 131)
 
 
+#: The unaligned load at seq 1 traps on every engine and replica.
+TRAPPING_LOAD = "addi r5, r0, 3\nlw r6, 0(r5)\nout r6\nhalt"
+
+
 def program():
     return assemble(ACC, name="nstream-acc")
 
@@ -187,6 +191,19 @@ class TestVoteEdges:
             tmr.run()
 
     @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+    def test_no_majority_names_the_trap(self, engine):
+        """The functional simulator's trap, appended to the voter's
+        message; still a ``SimulationError``."""
+        program = assemble(TRAPPING_LOAD, name="trap")
+        with pytest.raises(ValueError) as functional:
+            FunctionalSimulator(program).run()
+        with pytest.raises(SimulationError) as info:
+            TMRProcessor(program, engine=engine).run()
+        assert str(info.value) == (
+            f"no majority among 3 streams at pc {program.entry + 4:#x} "
+            f"(ValueError: {functional.value})")
+
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
     def test_two_of_three_repairs_the_minority(self, engine):
         injector = FaultInjector(
             TransientFault(FaultSite.R_ARCH, target_seq=2, bit=3)
@@ -305,6 +322,19 @@ class TestReplayWindows:
             assert injector.report.fired
             assert run.detections == 1
             assert run.output == reference().output
+
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+    def test_wedged_machine_names_the_trap(self, engine):
+        """The functional simulator's trap, appended to the wedge
+        message; still a ``SimulationError``."""
+        program = assemble(TRAPPING_LOAD, name="trap")
+        with pytest.raises(ValueError) as functional:
+            FunctionalSimulator(program).run()
+        with pytest.raises(SimulationError) as info:
+            ReplayWindowProcessor(program, engine=engine).run()
+        assert str(info.value) == (
+            f"replay machine wedged at pc {program.entry + 4:#x} "
+            f"(ValueError: {functional.value})")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

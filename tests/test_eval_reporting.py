@@ -98,3 +98,37 @@ class TestCheapExperiments:
                 "compress", "gcc", "go", "jpeg", "li", "m88ksim",
                 "perl", "vortex",
             }
+
+
+class TestFrontierJobs:
+    """``python -m repro.eval --jobs N`` runs the report's frontier
+    campaign on N workers too."""
+
+    def test_frontier_study_passes_jobs_to_the_campaign(self, monkeypatch):
+        import repro.fault.campaign as campaign
+        from repro.eval.experiments import redundancy_frontier_study
+
+        seen = {}
+
+        def fake_campaign(config, jobs=1, **kwargs):
+            seen["jobs"] = jobs
+            return "result", None
+
+        monkeypatch.setattr(campaign, "run_scaled_campaign", fake_campaign)
+        assert redundancy_frontier_study(jobs=3) == "result"
+        assert seen == {"jobs": 3}
+
+    def test_cli_passes_jobs_to_the_report(self, monkeypatch, capsys):
+        import repro.eval.__main__ as cli
+
+        seen = {}
+
+        def fake_report(scale, jobs=1):
+            seen["args"] = (scale, jobs)
+            return "report"
+
+        monkeypatch.setattr(cli, "enumerate_artifact_jobs", lambda scale: [])
+        monkeypatch.setattr(cli, "render_report", fake_report)
+        cli.main(["--jobs", "2", "--bench-out", "-"])
+        assert seen == {"args": (1, 2)}
+        assert "report" in capsys.readouterr().out

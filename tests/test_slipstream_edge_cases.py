@@ -13,7 +13,7 @@ from repro.core.slipstream import (
 )
 from repro.isa.assembler import assemble
 from repro.trace.predictor import TracePredictorConfig
-from repro.uarch.config import CoreConfig
+from repro.uarch.config import CacheConfig, CoreConfig
 
 
 def check(source, **config_kwargs):
@@ -284,9 +284,11 @@ class TestNoProgressWatchdog:
             FunctionalSimulator(assemble(TRAPPING, name="stuck")).run()
         program = assemble(TRAPPING, name="stuck")
         message = self._raises_quickly(program)
-        # The addi retired; the R-stream is parked on the load.
+        # The addi retired; the R-stream is parked on the load, and the
+        # message names the load's trap.
         assert message == (f"stuck: no forward progress at "
-                           f"r_pc={program.entry + 4:#x}, r_seq=1")
+                           f"r_pc={program.entry + 4:#x}, r_seq=1 "
+                           f"(ValueError: unaligned memory access at 0x3)")
 
     def test_zero_trace_length(self):
         # A trace length below one is now a config error at construction
@@ -294,6 +296,13 @@ class TestNoProgressWatchdog:
         # trapping program above.
         with pytest.raises(ConfigError, match="trace_length"):
             SlipstreamConfig(trace_length=0)
+
+
+#: A valid value of every field of the configs with required fields.
+_VALID = {
+    CacheConfig: {"size_bytes": 1024, "assoc": 2, "line_bytes": 64,
+                  "miss_penalty": 3},
+}
 
 
 class TestConfigRanges:
@@ -345,6 +354,13 @@ class TestConfigRanges:
         (TracePredictorConfig, "path_depth", 0),
         (TracePredictorConfig, "counter_max", 0),
         (TracePredictorConfig, "index_bits", "16"),
+        (TracePredictorConfig, "index_bits", 21),
+        (TracePredictorConfig, "index_bits", 40),
+        (CacheConfig, "size_bytes", 0),
+        (CacheConfig, "assoc", 0),
+        (CacheConfig, "line_bytes", 0),
+        (CacheConfig, "miss_penalty", -5),
+        (CacheConfig, "size_bytes", 1000),
     ])
     def test_nested_config_out_of_range_raises(self, config_class, field,
                                                value):
@@ -352,7 +368,7 @@ class TestConfigRanges:
         nests fail the same way, naming their own class."""
         start = time.monotonic()
         with pytest.raises(ConfigError) as info:
-            config_class(**{field: value})
+            config_class(**{**_VALID.get(config_class, {}), field: value})
         assert time.monotonic() - start < 1.0
         error = info.value
         assert (error.config, error.field, error.value) == (
@@ -366,10 +382,18 @@ class TestConfigRanges:
         (TracePredictorConfig, "index_bits", 1),
         (TracePredictorConfig, "path_depth", 1),
         (TracePredictorConfig, "counter_max", 1),
+        (TracePredictorConfig, "index_bits", 20),
+        (CacheConfig, "miss_penalty", 0),
+        (CacheConfig, "assoc", 1),
+        (CacheConfig, "line_bytes", 1),
     ])
     def test_nested_boundary_values_are_valid(self, config_class, field,
                                               value):
-        assert getattr(config_class(**{field: value}), field) == value
+        # Construction only: no predictor is built, so the largest
+        # index_bits allocates no table.
+        config = config_class(**{**_VALID.get(config_class, {}),
+                                 field: value})
+        assert getattr(config, field) == value
 
     def test_derived_core_is_checked(self):
         with pytest.raises(ConfigError, match="rob_size"):
