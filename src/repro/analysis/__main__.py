@@ -32,8 +32,6 @@ import os
 import sys
 from typing import List, Optional, Tuple
 
-from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import analyze
 from repro.analysis.ineffectual import (
     CrossCheckResult,
     StaticSummary,
@@ -48,7 +46,9 @@ from repro.isa.program import Program
 def _load_targets(args: argparse.Namespace) -> List[Program]:
     # Workload builders lint at assembly time by default; disable that
     # here so this CLI is the one reporting diagnostics (with exit
-    # status) instead of dying inside the builder.
+    # status) instead of dying inside the builder.  The caller's own
+    # setting is restored afterwards.
+    saved = os.environ.get("REPRO_WORKLOAD_LINT")
     os.environ["REPRO_WORKLOAD_LINT"] = "0"
     try:
         from repro.workloads.suite import benchmark_suite, get_benchmark
@@ -66,20 +66,20 @@ def _load_targets(args: argparse.Namespace) -> List[Program]:
                 programs.append(get_benchmark(name).program(scale=args.scale))
         return programs
     finally:
-        os.environ.pop("REPRO_WORKLOAD_LINT", None)
+        if saved is None:
+            os.environ.pop("REPRO_WORKLOAD_LINT", None)
+        else:
+            os.environ["REPRO_WORKLOAD_LINT"] = saved
 
 
 def _analyze_one(
     program: Program, args: argparse.Namespace
 ) -> Tuple[List[Diagnostic], StaticSummary, Optional[CrossCheckResult]]:
-    df = analyze(build_cfg(program))
-    diagnostics = lint_program(program, allow=args.allow, dataflow=df)
-    static = analyze_static(program, dataflow=df)
+    diagnostics = lint_program(program, allow=args.allow)
+    static = analyze_static(program)
     xcheck = None
     if args.cross_check:
-        xcheck = cross_check(
-            program, max_instructions=args.max_instructions, dataflow=df
-        )
+        xcheck = cross_check(program, max_instructions=args.max_instructions)
     return diagnostics, static, xcheck
 
 

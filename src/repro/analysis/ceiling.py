@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.analysis.absint import (
     AbsintResult,
@@ -46,8 +46,9 @@ from repro.analysis.absint import (
 )
 from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.dataflow import WriteClass, analyze
+from repro.arch.compiled import program_keyed_memo
 from repro.arch.functional import FunctionalSimulator, InstructionLimitExceeded
-from repro.isa.instructions import InstrClass, Opcode
+from repro.isa.instructions import InstrClass
 from repro.isa.program import Program
 
 #: Instruction classes the removal machinery never elides (mirrors
@@ -243,6 +244,14 @@ def static_removal_report(program: Program) -> StaticRemovalReport:
     )
 
 
+#: The (memoized) static removal report of a program: the cross-check,
+#: the ceiling and the static-hint seeding share one fixpoint per
+#: program object per process.
+static_removal_report_for: Callable[[Program], StaticRemovalReport] = (
+    program_keyed_memo(static_removal_report)
+)
+
+
 @dataclass(frozen=True)
 class CeilingReport:
     """A static removal report weighted by a dynamic execution profile."""
@@ -272,13 +281,10 @@ class CeilingReport:
 
 
 def ceiling_report(
-    program: Program,
-    max_instructions: int = 5_000_000,
-    static: Optional[StaticRemovalReport] = None,
+    program: Program, max_instructions: int = 5_000_000
 ) -> CeilingReport:
     """Profile one run and weight the static facts by instance counts."""
-    if static is None:
-        static = static_removal_report(program)
+    static = static_removal_report_for(program)
     executed: Counter = Counter()
     never = 0
     retired = 0

@@ -51,16 +51,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.cfg import build_cfg
-from repro.analysis.ceiling import StaticRemovalReport, static_removal_report
-from repro.analysis.dataflow import Dataflow, WriteClass, analyze
+from repro.analysis.ceiling import StaticRemovalReport, static_removal_report_for
+from repro.analysis.dataflow import WriteClass, analyze
 from repro.arch.functional import FunctionalSimulator, InstructionLimitExceeded
-from repro.core.ir_detector import ALL_TRIGGERS, DEFAULT_SCOPE_TRACES, IRDetector
+from repro.core.ir_detector import IRDetector
 from repro.core.removal import RemovalKind
 from repro.isa.program import Program
-from repro.trace.selection import TRACE_LENGTH, TraceSelector
+from repro.trace.selection import TraceSelector
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,10 @@ class StaticSummary:
         return len(self.dead_pcs) + len(self.must_live_pcs) + len(self.partial_pcs)
 
 
-def analyze_static(program: Program, dataflow: Optional[Dataflow] = None) -> StaticSummary:
+def analyze_static(program: Program) -> StaticSummary:
     """Classify every reachable register write (and constant-address
     store) of a program; see :class:`StaticSummary`."""
-    if dataflow is None:
-        dataflow = analyze(build_cfg(program))
+    dataflow = analyze(build_cfg(program))
     by_class: Dict[WriteClass, List[int]] = {c: [] for c in WriteClass}
     for index, cls in dataflow.write_classes.items():
         by_class[cls].append(program.pc_of(index))
@@ -128,8 +127,8 @@ class CrossCheckResult:
     dead_pc_stats: Tuple[DeadPCStat, ...]
     static_unsound_pcs: Tuple[int, ...]
     detector_contradiction_pcs: Tuple[int, ...]
-    #: Interval-layer facts (None when the absint pass was skipped).
-    removal_report: Optional[StaticRemovalReport] = None
+    #: Interval-layer facts.
+    removal_report: StaticRemovalReport
     silent_instances_executed: int = 0
     silent_instances_selected: int = 0
     #: Proven-silent stores observed writing a *different* value.
@@ -174,34 +173,21 @@ class CrossCheckResult:
 
 
 def cross_check(
-    program: Program,
-    trace_length: int = TRACE_LENGTH,
-    scope_traces: int = DEFAULT_SCOPE_TRACES,
-    triggers: Iterable[str] = ALL_TRIGGERS,
-    max_instructions: int = 5_000_000,
-    dataflow: Optional[Dataflow] = None,
-    removal_report: Optional[StaticRemovalReport] = None,
-    include_absint: bool = True,
+    program: Program, max_instructions: int = 5_000_000
 ) -> CrossCheckResult:
-    """Run a program once, feeding the IR-detector, while a shadow
-    tracker records ground-truth reference behaviour; compare both
-    against the static classification (dataflow and, unless
-    ``include_absint`` is off, the interval layer's proven facts)."""
-    if dataflow is None:
-        dataflow = analyze(build_cfg(program))
-    static = analyze_static(program, dataflow)
-    if removal_report is None and include_absint:
-        removal_report = static_removal_report(program)
+    """Run a program once, feeding the default-configured IR-detector,
+    while a shadow tracker records ground-truth reference behaviour;
+    compare both against the static classification (dataflow) and the
+    interval layer's proven facts (the program's memoized
+    :func:`~repro.analysis.ceiling.static_removal_report_for`)."""
+    static = analyze_static(program)
+    removal_report = static_removal_report_for(program)
     dead_pcs = frozenset(static.dead_pcs) | frozenset(static.dead_store_pcs)
-    silent_pcs: frozenset = frozenset()
-    always_pcs: frozenset = frozenset()
-    never_pcs: frozenset = frozenset()
-    if removal_report is not None:
-        dead_pcs |= frozenset(removal_report.dead_write_pcs)
-        dead_pcs |= frozenset(removal_report.dead_store_pcs)
-        silent_pcs = frozenset(removal_report.silent_store_pcs)
-        always_pcs = frozenset(removal_report.branch_always_pcs)
-        never_pcs = frozenset(removal_report.branch_never_pcs)
+    dead_pcs |= frozenset(removal_report.dead_write_pcs)
+    dead_pcs |= frozenset(removal_report.dead_store_pcs)
+    silent_pcs = frozenset(removal_report.silent_store_pcs)
+    always_pcs = frozenset(removal_report.branch_always_pcs)
+    never_pcs = frozenset(removal_report.branch_never_pcs)
     must_live = frozenset(static.must_live_pcs)
 
     executed: Counter = Counter()
@@ -244,8 +230,8 @@ def cross_check(
             ):
                 contradictions.add(pc)
 
-    selector = TraceSelector(trace_length)
-    detector = IRDetector(scope_traces=scope_traces, triggers=triggers)
+    selector = TraceSelector()
+    detector = IRDetector()
     sim = FunctionalSimulator(program, max_instructions=max_instructions)
     retired = 0
     truncated = False

@@ -138,19 +138,14 @@ def errors(diagnostics: Iterable[Diagnostic]) -> List[Diagnostic]:
     return [d for d in active(diagnostics) if d.severity == ERROR]
 
 
-def lint_program(
-    program: Program,
-    allow: Iterable[str] = (),
-    dataflow: Optional[Dataflow] = None,
-) -> List[Diagnostic]:
+def lint_program(program: Program, allow: Iterable[str] = ()) -> List[Diagnostic]:
     """Lint one program; returns all diagnostics (suppressed included,
     flagged).  ``allow`` globally disables the named rules."""
     allow_set = frozenset(allow)
     unknown = allow_set - ALL_RULES
     if unknown:
         raise ValueError(f"unknown lint rule(s): {sorted(unknown)}")
-    if dataflow is None:
-        dataflow = analyze(build_cfg(program))
+    dataflow = analyze(build_cfg(program))
     cfg = dataflow.cfg
     raw = list(_collect(program, cfg, dataflow))
     out: List[Diagnostic] = []

@@ -723,10 +723,12 @@ def program_keyed_memo(build: Callable[[Program], object]) -> Callable[[Program]
     ``id`` therefore never aliases a live entry (the stored weakref is
     re-checked against the argument anyway).
 
-    Used by :func:`compiled_for` (functional engine) and
-    :func:`repro.uarch.compiled_timing.timing_meta_for` (timing engine),
-    so pool workers that simulate many jobs on one memoized program
-    (:mod:`repro.eval.jobs`) pay each derivation once per process.
+    Used by :func:`compiled_for` (functional engine),
+    :func:`repro.uarch.compiled_timing.timing_meta_for` (timing engine)
+    and :func:`repro.analysis.ceiling.static_removal_report_for` (static
+    analysis), so pool workers that simulate many jobs on one memoized
+    program (:mod:`repro.eval.jobs`) pay each derivation once per
+    process.
     """
     registry: Dict[int, Tuple["weakref.ref[Program]", object]] = {}
 

@@ -6,11 +6,12 @@ performance (conventional SMT/CMP), improved single-program performance
 and reliability (slipstreaming), or fully-reliable operation with
 little or no impact on single-program performance (AR-SMT / SRT)."
 
-This module generalizes those hardcoded two-context modes into a
-declarative N-stream framework.  A mode is a :class:`RedundancyMode`
-spec — stream count, per-stream config transform, comparison/vote
-policy, recovery policy — and :func:`run_mode` dispatches on the spec
-instead of on a hand-written if-ladder.  Registered modes:
+This module generalizes those hardcoded two-context modes into an
+N-stream framework.  A mode is a :class:`RedundancyMode` spec — stream
+count, per-stream config transform, fault-campaign sites — and
+:func:`run_mode` looks the spec up, checks the stream count and the
+number of programs against it, then branches on the
+:class:`OperatingMode` to the engine that runs it.  Registered modes:
 
 * ``THROUGHPUT`` — independent programs on independent cores; maximum
   job throughput, no redundancy.
@@ -132,12 +133,6 @@ def decorrelated_config(
 class RedundancyMode:
     """Declarative spec of one redundancy mode.
 
-    ``compare`` names the result-validation policy (``pairwise`` delay
-    buffer comparison, ``vote`` majority voting, ``replay`` window
-    re-execution, ``none``); ``recover`` the repair policy
-    (``rollback`` flush + context restore, ``mask`` in-place minority
-    repair, ``replay`` rollback-to-shadow, ``none``).
-
     ``campaign_sites`` lists the :class:`repro.fault.injector.FaultSite`
     *values* this mode's fault campaign exercises (plain strings to
     keep the core layer free of a fault-layer import).
@@ -149,9 +144,6 @@ class RedundancyMode:
 
     name: str
     n_streams: int
-    compare: str
-    recover: str
-    description: str
     campaign_sites: Tuple[str, ...] = ()
     allows_n_override: bool = False
     config_transform: Optional[
@@ -169,54 +161,32 @@ class RedundancyMode:
 REDUNDANCY_MODES: Dict[str, RedundancyMode] = {
     spec.name: spec
     for spec in (
-        RedundancyMode(
-            name="throughput",
-            n_streams=1,
-            compare="none",
-            recover="none",
-            description="independent programs, no redundancy",
-        ),
+        RedundancyMode(name="throughput", n_streams=1),
         RedundancyMode(
             name="slipstream",
             n_streams=2,
-            compare="pairwise",
-            recover="rollback",
-            description="A/R pair, partial redundancy, rollback recovery",
             campaign_sites=("a_result", "r_transient", "r_arch"),
         ),
         RedundancyMode(
             name="reliable",
             n_streams=2,
-            compare="pairwise",
-            recover="rollback",
-            description="AR-SMT full redundancy (removal disabled)",
             campaign_sites=("a_result", "r_transient", "r_arch"),
             config_transform=reliable_config,
         ),
         RedundancyMode(
             name="tmr",
             n_streams=3,
-            compare="vote",
-            recover="mask",
-            description="triple modular redundancy, majority vote, "
-            "no-rollback masking",
             campaign_sites=("r_transient", "r_arch"),
             allows_n_override=True,
         ),
         RedundancyMode(
             name="replay",
             n_streams=1,
-            compare="replay",
-            recover="replay",
-            description="primary stream + replay-window detector",
             campaign_sites=("r_transient", "r_arch"),
         ),
         RedundancyMode(
             name="decorrelated",
             n_streams=2,
-            compare="pairwise",
-            recover="rollback",
-            description="slipstream with DME-decorrelated contexts",
             campaign_sites=("a_result", "r_transient", "r_arch", "correlated"),
             config_transform=decorrelated_config,
         ),

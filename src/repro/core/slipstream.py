@@ -436,9 +436,9 @@ class SlipstreamProcessor:
         facts, gated on the configured removal triggers.  Imported
         lazily: the core layer depends on the analysis layer only under
         this opt-in mode."""
-        from repro.analysis.ceiling import static_removal_report
+        from repro.analysis.ceiling import static_removal_report_for
 
-        report = static_removal_report(self.program)
+        report = static_removal_report_for(self.program)
         triggers = self.config.removal_triggers
         seeded = set()
         if "WW" in triggers:

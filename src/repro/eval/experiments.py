@@ -19,11 +19,10 @@ from repro.eval.models import (
     run_all_models,
     run_baseline,
     run_big_core,
-    run_ceiling,
-    run_crosscheck,
     run_fault_study,
     run_instruction_count,
     run_slipstream_model,
+    run_static,
 )
 from repro.fault.coverage import CampaignResult
 from repro.fault.injector import FaultSite
@@ -243,7 +242,7 @@ def ineffectuality_crosscheck(
     """
     rows = []
     for name in benchmarks or BENCHMARKS:
-        result = run_crosscheck(name, scale)
+        result, _ = run_static(name, scale)
         rows.append(
             {
                 "benchmark": name,
@@ -282,7 +281,7 @@ def static_ceiling(
     """
     rows = []
     for name in benchmarks or BENCHMARKS:
-        report = run_ceiling(name, scale)
+        _, report = run_static(name, scale)
         slip = run_slipstream_model(name, scale)
         static = report.static
         proven = len(static.proven_pcs)

@@ -96,10 +96,10 @@ class JobKey:
     parameters for fault jobs, the empty string where defaults apply.
     """
 
-    #: "count" | "ss64" | "ss128" | "cmp" | "fault" | "xcheck" |
-    #: "ceiling" (static ineffectuality ceiling; repro.analysis.ceiling) |
-    #: "finj" (one fault-campaign injection point) | "nref" (fault-free
-    #: N-stream reference run; see :mod:`repro.core.nstream`).
+    #: "count" | "ss64" | "ss128" | "cmp" | "fault" | "static" (the
+    #: cross-check and the ceiling; repro.analysis) | "finj" (one
+    #: fault-campaign injection point) | "nref" (fault-free N-stream
+    #: reference run; see :mod:`repro.core.nstream`).
     model: str
     benchmark: str
     scale: int = 1
@@ -174,18 +174,11 @@ def slipstream_spec(
     return JobSpec(key, config=cfg)
 
 
-def ceiling_spec(benchmark: str, scale: int = 1) -> JobSpec:
-    """The static ineffectuality ceiling job: abstract interpretation of
-    the workload plus an execution profile weighting the proven facts
-    (see :mod:`repro.analysis.ceiling`)."""
-    return JobSpec(JobKey("ceiling", benchmark, scale))
-
-
-def crosscheck_spec(benchmark: str, scale: int = 1) -> JobSpec:
-    """The static/dynamic ineffectuality cross-check job: static write
-    classification vs the IR-detector's verdicts, plus a ground-truth
-    reference shadow (see :mod:`repro.analysis.ineffectual`)."""
-    return JobSpec(JobKey("xcheck", benchmark, scale))
+def static_spec(benchmark: str, scale: int = 1) -> JobSpec:
+    """The static-analysis job: ``(cross_check, ceiling_report)`` of one
+    workload, sharing one static removal report (see
+    :mod:`repro.analysis.ineffectual` and :mod:`repro.analysis.ceiling`)."""
+    return JobSpec(JobKey("static", benchmark, scale))
 
 
 def fault_spec(
@@ -216,16 +209,11 @@ def injection_spec(
     The clean reference is the matching mode's fault-free job of the
     same benchmark/scale, shared through the caches (prewarmed by
     :mod:`repro.fault.campaign`).
-
-    Slipstream-mode keys keep the pre-framework fingerprint shape
-    (``[fault, ecc]``), so existing cache entries and golden campaign
-    artifacts are unaffected; other modes fold the mode name in.
     """
     fault = TransientFault(site=site, target_seq=target_seq, bit=bit)
-    payload = [fault, ecc] if mode == "slipstream" else [fault, ecc, mode]
     key = JobKey(
         "finj", benchmark, scale,
-        config_fingerprint=fingerprint(payload),
+        config_fingerprint=fingerprint([fault, ecc, mode]),
     )
     return JobSpec(key, fault=fault, ecc=ecc, mode=mode)
 
@@ -299,12 +287,9 @@ def simulate(spec: JobSpec, obs: Optional[Observability] = None):
         return _simulate_injection(spec)
     if model == "nref":
         return _simulate_mode_reference(spec)
-    if model == "xcheck":
+    if model == "static":
         program = benchmark_program(key.benchmark, key.scale)
-        return cross_check(program)
-    if model == "ceiling":
-        program = benchmark_program(key.benchmark, key.scale)
-        return ceiling_report(program)
+        return cross_check(program), ceiling_report(program)
     raise ValueError(f"unknown job model {model!r}")
 
 
@@ -497,8 +482,7 @@ def enumerate_artifact_jobs(
         add(big_core_spec(name, scale))         # Figure 7
         add(slipstream_spec(name, scale))       # Figures 6/8, Table 3
         add(slipstream_spec(name, scale, removal_triggers=("BR",)))  # Fig 8 bottom
-        add(crosscheck_spec(name, scale))       # static/dynamic cross-check
-        add(ceiling_spec(name, scale))          # static ineffectuality ceiling
+        add(static_spec(name, scale))           # cross-check + ceiling
     for name in STATIC_HINT_BENCHMARKS:
         if name in names:
             add(slipstream_spec(

@@ -36,14 +36,13 @@ from repro.eval.jobs import (
     JobSpec,
     baseline_spec,
     big_core_spec,
-    ceiling_spec,
     count_spec,
-    crosscheck_spec,
     fault_spec,
     injection_spec,
     mode_reference_spec,
     simulate,
     slipstream_spec,
+    static_spec,
 )
 from repro.fault.coverage import CampaignResult, InjectionResult
 from repro.fault.injector import FaultSite
@@ -129,17 +128,14 @@ def run_slipstream_model(
     return run_cached(spec)  # type: ignore[return-value]
 
 
-def run_crosscheck(benchmark: str, scale: int = 1) -> CrossCheckResult:
-    """Static/dynamic ineffectuality cross-check of one benchmark:
-    static write classification vs IR-detector verdicts."""
-    return run_cached(crosscheck_spec(benchmark, scale))  # type: ignore[return-value]
-
-
-def run_ceiling(benchmark: str, scale: int = 1) -> CeilingReport:
-    """Static ineffectuality ceiling of one benchmark: abstract
-    interpretation plus a dynamic execution profile weighting the
-    proven facts (see :mod:`repro.analysis.ceiling`)."""
-    return run_cached(ceiling_spec(benchmark, scale))  # type: ignore[return-value]
+def run_static(
+    benchmark: str, scale: int = 1
+) -> Tuple[CrossCheckResult, CeilingReport]:
+    """Static analysis of one benchmark: the static/dynamic
+    ineffectuality cross-check (static write classification vs
+    IR-detector verdicts) and the static ineffectuality ceiling
+    (abstract interpretation weighted by an execution profile)."""
+    return run_cached(static_spec(benchmark, scale))  # type: ignore[return-value]
 
 
 def run_fault_study(

@@ -5,6 +5,8 @@ import pickle
 
 import pytest
 
+from repro.analysis import ceiling as ceiling_module
+from repro.analysis.ceiling import ceiling_report, static_removal_report_for
 from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import analyze
 from repro.analysis.ineffectual import analyze_static, cross_check
@@ -94,9 +96,8 @@ class TestCrossCheck:
             slot: .word 0
             """
         )
-        df = analyze(build_cfg(program))
-        assert df.dead_stores  # both stores qualify
-        result = cross_check(program, dataflow=df)
+        assert analyze(build_cfg(program)).dead_stores  # both qualify
+        result = cross_check(program)
         assert result.sound
         assert result.dead_instances_executed > 0
         assert result.instance_agreement > 0.9
@@ -122,7 +123,6 @@ class TestAbsintCrossCheck:
 
     def test_silent_stores_tracked_and_sound(self):
         result = cross_check(_program(self.SOURCE))
-        assert result.removal_report is not None
         assert result.removal_report.silent_store_pcs
         assert result.silent_instances_executed == 150
         assert result.silent_violation_pcs == ()
@@ -143,26 +143,19 @@ class TestAbsintCrossCheck:
             """
         )
         result = cross_check(program)
-        assert result.removal_report is not None
         assert result.removal_report.branch_always_pcs
         assert result.pinned_branch_instances >= 1
         assert result.branch_violation_pcs == ()
         assert result.sound
 
-    def test_absint_opt_out(self):
-        result = cross_check(_program(self.SOURCE), include_absint=False)
-        assert result.removal_report is None
-        assert result.silent_instances_executed == 0
-        assert result.silent_agreement == 1.0
-        assert result.sound
-
-    def test_caller_supplied_report_reused(self):
-        from repro.analysis.ceiling import static_removal_report
-
+    def test_memoized_report_reused(self):
+        """The cross-check reads the program's memoized report, so it
+        shares one fixpoint with the ceiling and the static hints."""
         program = _program(self.SOURCE)
-        report = static_removal_report(program)
-        result = cross_check(program, removal_report=report)
+        report = static_removal_report_for(program)
+        result = cross_check(program)
         assert result.removal_report is report
+        assert ceiling_report(program).static is report
         assert result.sound
 
 
@@ -196,3 +189,51 @@ class TestEvalWiring:
         assert row["sound"] and row["contradictions"] == 0
         assert row["static_dead_pcs"] == 6
         assert 0.9 < row["instance_agreement"] <= 1.0
+
+
+class TestStaticJob:
+    """One ``static`` job per workload returns the cross-check and the
+    ceiling report, and everything on one program object shares one
+    static removal report."""
+
+    @pytest.fixture
+    def jobs(self, monkeypatch):
+        """repro.eval.jobs with an empty program memo: program objects
+        built by earlier tests carry memoized reports."""
+        from repro.eval import jobs
+
+        monkeypatch.setattr(jobs, "_PROGRAM_MEMO", {})
+        return jobs
+
+    def test_one_fixpoint_per_program_object(self, jobs, monkeypatch):
+        from repro.core.slipstream import SlipstreamConfig
+        from repro.workloads.suite import get_benchmark
+
+        calls = []
+        real_refine = ceiling_module.refine_cfg
+
+        def counting_refine(program, result):
+            # static_removal_report refines the CFG exactly once.
+            calls.append(program)
+            return real_refine(program, result)
+
+        monkeypatch.setattr(ceiling_module, "refine_cfg", counting_refine)
+        jobs.simulate(jobs.static_spec("jpeg"))
+        jobs.simulate(jobs.slipstream_spec(
+            "jpeg", config=SlipstreamConfig(static_hints=True)))
+        program = jobs.benchmark_program("jpeg")
+        assert len(calls) == 1 and calls[0] is program
+        fresh = get_benchmark("jpeg").program(1)
+        assert static_removal_report_for(fresh) is not \
+            static_removal_report_for(program)
+        assert len(calls) == 2 and calls[1] is fresh
+
+    @pytest.mark.parametrize("name", ["jpeg", "compress"])
+    def test_static_job_matches_direct_analyses(self, jobs, name):
+        from repro.workloads.suite import get_benchmark
+
+        xcheck, ceiling = jobs.simulate(jobs.static_spec(name))
+        program = get_benchmark(name).program(1)
+        assert xcheck == cross_check(program)
+        assert ceiling == ceiling_report(program)
+        assert xcheck.sound

@@ -169,6 +169,27 @@ class TestWorkloadIntegration:
         monkeypatch.setenv("REPRO_WORKLOAD_LINT", "0")
         assert len(asm.build()) == 1
 
+    @pytest.mark.parametrize("setting", [None, "0", "1"])
+    def test_cli_keeps_callers_lint_setting(self, monkeypatch, tmp_path,
+                                            setting):
+        """``python -m repro.analysis`` turns build-time lint off while
+        it loads its targets, then restores the caller's setting."""
+        import argparse
+        import os
+
+        from repro.analysis.__main__ import _load_targets
+
+        source = tmp_path / "prog.s"
+        source.write_text("main:\nhalt\n")
+        if setting is None:
+            monkeypatch.delenv("REPRO_WORKLOAD_LINT", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_WORKLOAD_LINT", setting)
+        args = argparse.Namespace(targets=[str(source), "li"],
+                                  all_workloads=False, scale=1)
+        assert len(_load_targets(args)) == 2
+        assert os.environ.get("REPRO_WORKLOAD_LINT") == setting
+
     def test_build_allows_warnings(self):
         asm = dsl.Asm("warns")
         asm.emit("main:\naddi r1, r0, 1\naddi r1, r0, 2\nout r1\nhalt")
