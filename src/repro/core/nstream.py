@@ -51,13 +51,16 @@ alters no retirement before that seq, so both engines run the prefix
 with :func:`repro.arch.advance` on one fault-free state: TMR forks it
 into the replicas, and replay starts at the last window boundary before
 the strike with the clean run's window counters, which follow from the
-boundary alone, and a fork of the state as its shadow.  A TMR hook that
-also reports ``spent`` hands the rest of the run to ``advance`` once the
-replicas are equal again after the strike (right after the repairing
-vote, or at once when the strike wrote nothing): replicas 1..N-1 are
-never struck and a repair writes only the minority, so every later vote
-would be unanimous on the fault-free path.  Results are bit-identical to
-offering the hook every retirement; DESIGN.md §7.12 states the rules.
+boundary alone, and a fork of the state as its shadow.  A run with no
+hook is quiet to its budget: TMR runs the whole program with
+``advance``, and replay all of it but the window that halts.  A TMR
+hook that also reports ``spent`` hands the rest of the run to
+``advance`` once the replicas are equal again after the strike (right
+after the repairing vote, or at once when the strike wrote nothing):
+replicas 1..N-1 are never struck and a repair writes only the
+minority, so every later vote would be unanimous on the fault-free
+path.  Results are bit-identical to offering the hook every
+retirement; DESIGN.md §7.12 states the rules.
 A run that stops because the program traps names the trap in its
 ``SimulationError``.
 """
@@ -151,9 +154,13 @@ def _same_state(a: ArchState, b: ArchState) -> bool:
             and not a.mem.differing_addresses(b.mem))
 
 
-def _quiet_until(hook: Optional[FaultHook]) -> int:
-    """The first seq ``hook`` may alter (0 unless it says so)."""
-    return getattr(hook, "quiet_until", 0) if hook is not None else 0
+def _quiet_until(hook: Optional[FaultHook], budget: int) -> int:
+    """The first seq ``hook`` may alter: 0 unless it says so, and the
+    whole ``budget`` when there is no hook (a clean run is quiet to the
+    end)."""
+    if hook is None:
+        return budget
+    return getattr(hook, "quiet_until", 0)
 
 
 class TMRProcessor:
@@ -191,7 +198,7 @@ class TMRProcessor:
         n_streams = self.n_streams
         majority_needed = n_streams // 2 + 1
         step_get = _step_lookup(program, self.engine)
-        quiet = _quiet_until(hook)
+        quiet = _quiet_until(hook, self.max_instructions)
         states, pc, retired = self._clean_prefix(quiet)
         output = list(states[0].output)
         halted = states[0].halted
@@ -377,7 +384,8 @@ class ReplayWindowProcessor:
         program = self.program
         hook = self.fault_hook
         step_get = _step_lookup(program, self.engine)
-        primary, pc, windows = self._clean_prefix(_quiet_until(hook))
+        primary, pc, windows = self._clean_prefix(
+            _quiet_until(hook, self.max_instructions))
         shadow = primary.fork()
         retired = seq = windows * self.window_len
         replayed_windows = -(-windows // self.scrub_interval)
@@ -471,23 +479,27 @@ class ReplayWindowProcessor:
         included, replays all ``window_len`` of its instructions and
         matches), and its shadow equals the primary there in content,
         so a fork of the fault-free state stands in for it.  A prefix
-        that halts or traps (the strike never fires) starts from the
-        entry instead, exactly as without the hook.
+        that halts after ``executed`` instructions (a clean run, or a
+        strike that never fires) starts instead at the boundary of the
+        window that halts, ``(executed - 1) // window_len`` windows in,
+        and runs that window in the loop; one that traps starts from the
+        entry, exactly as without the hook.
         """
         program = self.program
-        windows = min(quiet, self.max_instructions) // self.window_len
-        if windows:
+        length = self.window_len
+        windows = min(quiet, self.max_instructions) // length
+        while windows:
             state = ArchState(image=program.data)
             try:
-                _executed, pc = advance(
-                    program, state, program.entry,
-                    windows * self.window_len, self.engine,
+                executed, pc = advance(
+                    program, state, program.entry, windows * length,
+                    self.engine,
                 )
             except (ExecutionError, ValueError, IndexError):
-                pass
-            else:
-                if not state.halted:
-                    return state, pc, windows
+                break
+            if not state.halted:
+                return state, pc, windows
+            windows = (executed - 1) // length
         return ArchState(image=program.data), program.entry, 0
 
     def _replay(

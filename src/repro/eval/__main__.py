@@ -46,8 +46,6 @@ from repro.eval.jobs import (
     ABLATION_CONFIDENCE_THRESHOLDS,
     ABLATION_DELAY_CAPACITIES,
     ABLATION_IR_SCOPES,
-    FAULT_STUDY_BENCHMARK,
-    FAULT_STUDY_POINTS,
     DiskCache,
     enumerate_artifact_jobs,
 )
@@ -105,7 +103,8 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
 
 def render_report(scale: int, jobs: int = 1) -> str:
     """The markdown report body (reads through the warmed caches;
-    ``jobs`` workers run the frontier campaign's cold strike points)."""
+    ``jobs`` workers run the fault study's and the frontier campaign's
+    cold strike points)."""
     out = []
     w = out.append
 
@@ -308,8 +307,8 @@ def render_report(scale: int, jobs: int = 1) -> str:
 
     # Fault study -------------------------------------------------------
     w("## Section 3: fault-injection study\n")
-    campaign = fault_coverage_study(benchmark=FAULT_STUDY_BENCHMARK,
-                                    points=FAULT_STUDY_POINTS)
+    campaign = fault_coverage_study(benchmark="jpeg", scale=scale, points=4,
+                                    jobs=jobs)
     rows = []
     for site, outcomes in campaign.by_site().items():
         for outcome, count in sorted(outcomes.items(), key=lambda kv: kv[0].value):

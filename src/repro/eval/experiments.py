@@ -19,7 +19,7 @@ from repro.eval.models import (
     run_all_models,
     run_baseline,
     run_big_core,
-    run_fault_study,
+    run_cached,
     run_instruction_count,
     run_slipstream_model,
     run_static,
@@ -349,9 +349,33 @@ def fault_coverage_study(
     scale: int = 1,
     points: int = 6,
     sites: Sequence[FaultSite] = (FaultSite.A_RESULT, FaultSite.R_TRANSIENT),
+    jobs: int = 1,
 ) -> CampaignResult:
-    """A deterministic fault-injection campaign over one workload."""
-    return run_fault_study(benchmark, scale, points, tuple(sites))
+    """A deterministic fault-injection campaign over one workload.
+
+    ``points`` strike targets spread evenly over the last three quarters
+    of the run, struck at every site: each (site, target) pair is one
+    cached ``finj`` job (bit 7, slipstream mode) against the default
+    ``cmp`` reference, the same path as the scaled campaign.  ``jobs``
+    workers run the cold points, submitted in (site, target) order so
+    each site's points share one clean timeline per process."""
+    from repro.eval.jobs import injection_spec
+    from repro.eval.runner import ExperimentRunner
+    from repro.fault.coverage import release_timeline
+
+    total = run_instruction_count(benchmark, scale)
+    start = total // 4
+    stride = max((total - start) // (points + 1), 1)
+    specs = [
+        injection_spec(benchmark, site, start + i * stride, scale=scale)
+        for site in sites
+        for i in range(points)
+    ]
+    try:
+        ExperimentRunner(jobs=jobs).run(specs)
+    finally:
+        release_timeline()
+    return CampaignResult(results=[run_cached(spec) for spec in specs])
 
 
 def redundancy_frontier_study(

@@ -48,12 +48,7 @@ from repro.arch.functional import FunctionalSimulator
 from repro.core.modes import decorrelated_config
 from repro.core.slipstream import SlipstreamConfig, SlipstreamProcessor
 from repro.eval.resilience import JobTimeout
-from repro.fault.coverage import (
-    hang_budget,
-    inject_one,
-    inject_one_nstream,
-    run_campaign,
-)
+from repro.fault.coverage import hang_budget, inject_one, inject_one_nstream
 from repro.fault.injector import FaultSite, TransientFault
 from repro.fingerprint import canonical, fingerprint
 from repro.obs import RunReport, build_report, job_observability
@@ -92,14 +87,14 @@ class JobKey:
     """Identity of one simulation job (the unit of caching/dedup).
 
     ``config_fingerprint`` covers everything the other fields do not:
-    the full :class:`SlipstreamConfig` for CMP jobs, the fault-campaign
-    parameters for fault jobs, the empty string where defaults apply.
+    the full :class:`SlipstreamConfig` for CMP jobs, the strike point
+    and mode for injection jobs, the empty string where defaults apply.
     """
 
-    #: "count" | "ss64" | "ss128" | "cmp" | "fault" | "static" (the
-    #: cross-check and the ceiling; repro.analysis) | "finj" (one
-    #: fault-campaign injection point) | "nref" (fault-free N-stream
-    #: reference run; see :mod:`repro.core.nstream`).
+    #: "count" | "ss64" | "ss128" | "cmp" | "static" (the cross-check
+    #: and the ceiling; repro.analysis) | "finj" (one fault-campaign
+    #: injection point, the only way a strike runs) | "nref" (fault-free
+    #: N-stream reference run; see :mod:`repro.core.nstream`).
     model: str
     benchmark: str
     scale: int = 1
@@ -132,8 +127,6 @@ class JobSpec:
 
     key: JobKey
     config: Optional[SlipstreamConfig] = None
-    points: int = 0
-    sites: Tuple[FaultSite, ...] = ()
     #: One campaign injection point ("finj" jobs).
     fault: Optional[TransientFault] = None
     #: Model ECC on the R-stream's architectural state ("finj" jobs).
@@ -181,20 +174,6 @@ def static_spec(benchmark: str, scale: int = 1) -> JobSpec:
     return JobSpec(JobKey("static", benchmark, scale))
 
 
-def fault_spec(
-    benchmark: str,
-    scale: int = 1,
-    points: int = 6,
-    sites: Sequence[FaultSite] = (FaultSite.A_RESULT, FaultSite.R_TRANSIENT),
-) -> JobSpec:
-    sites = tuple(sites)
-    key = JobKey(
-        "fault", benchmark, scale,
-        config_fingerprint=fingerprint([points, list(sites)]),
-    )
-    return JobSpec(key, points=points, sites=sites)
-
-
 def injection_spec(
     benchmark: str,
     site: FaultSite,
@@ -206,9 +185,8 @@ def injection_spec(
 ) -> JobSpec:
     """One fault-campaign point: inject (site, dynamic instruction, bit)
     into one workload under one redundancy mode and classify the run.
-    The clean reference is the matching mode's fault-free job of the
-    same benchmark/scale, shared through the caches (prewarmed by
-    :mod:`repro.fault.campaign`).
+    The clean reference is the mode's :func:`reference_spec` job of the
+    same benchmark/scale, shared through the caches.
     """
     fault = TransientFault(site=site, target_seq=target_seq, bit=bit)
     key = JobKey(
@@ -218,15 +196,24 @@ def injection_spec(
     return JobSpec(key, fault=fault, ecc=ecc, mode=mode)
 
 
-def mode_reference_spec(benchmark: str, mode: str, scale: int = 1) -> JobSpec:
-    """The fault-free N-stream reference run ("nref"): the TMR or
-    replay-window engine on one workload, anchored to the cached ss64
-    baseline's cycle count."""
-    key = JobKey(
-        "nref", benchmark, scale,
-        config_fingerprint=fingerprint([mode]),
-    )
-    return JobSpec(key, mode=mode)
+def reference_spec(benchmark: str, mode: str, scale: int = 1) -> JobSpec:
+    """The fault-free reference job of one campaign mode: the default
+    ``cmp`` run for slipstream, the decorrelated ``cmp`` run, or the
+    ``nref`` run of the TMR or replay-window engine (anchored to the
+    cached ss64 baseline's cycle count).  Strike points classify against
+    it, and campaigns read their stream lengths and throughput from it.
+    """
+    if mode == "slipstream":
+        return slipstream_spec(benchmark, scale)
+    if mode == "decorrelated":
+        return slipstream_spec(benchmark, scale, config=decorrelated_config())
+    if mode in ("tmr", "replay"):
+        key = JobKey(
+            "nref", benchmark, scale,
+            config_fingerprint=fingerprint([mode]),
+        )
+        return JobSpec(key, mode=mode)
+    raise ValueError(f"unknown campaign mode {mode!r}")
 
 
 # ----------------------------------------------------------------------
@@ -280,9 +267,6 @@ def simulate(spec: JobSpec, obs: Optional[Observability] = None):
     if model == "cmp":
         program = benchmark_program(key.benchmark, key.scale)
         return SlipstreamProcessor(program, spec.config, obs=obs).run()
-    if model == "fault":
-        return _simulate_fault_study(key.benchmark, key.scale, spec.points,
-                                     spec.sites)
     if model == "finj":
         return _simulate_injection(spec)
     if model == "nref":
@@ -309,18 +293,18 @@ def _simulate_mode_reference(spec: JobSpec):
 
 
 def _simulate_injection(spec: JobSpec):
-    """One fault-campaign point: fetch the shared clean reference
-    through the caches (a disk hit when the campaign driver prewarmed
-    it), then run the injected simulation under the spec's redundancy
-    mode."""
+    """One fault-campaign point: fetch the mode's clean reference
+    through the caches (a hit when a sweep or the campaign's reference
+    pass prewarmed it), then run the injected simulation under the
+    spec's redundancy mode."""
     from repro.eval import models  # lazy: models imports this module
 
     key = spec.key
     assert spec.fault is not None
     program = benchmark_program(key.benchmark, key.scale)
+    reference_job = reference_spec(key.benchmark, spec.mode, key.scale)
+    reference = models.run_cached(reference_job)
     if spec.mode in ("tmr", "replay"):
-        reference = models.run_mode_reference(key.benchmark, spec.mode,
-                                              key.scale)
         return inject_one_nstream(
             program,
             spec.fault,
@@ -331,13 +315,10 @@ def _simulate_injection(spec: JobSpec):
             max_instructions=hang_budget(reference.retired),
             base_cycles=None,
         )
-    config = decorrelated_config() if spec.mode == "decorrelated" else None
-    reference = models.run_slipstream_model(key.benchmark, key.scale,
-                                            config=config)
     result = inject_one(
         program,
         spec.fault,
-        config=config,
+        config=reference_job.config,
         reference_output=reference.output,
         baseline_detections=reference.ir_mispredictions,
         ecc=spec.ecc,
@@ -368,18 +349,6 @@ def simulate_with_report(spec: JobSpec):
     finally:
         obs.close()
     return result, report
-
-
-def _simulate_fault_study(benchmark: str, scale: int, points: int,
-                          sites: Tuple[FaultSite, ...]):
-    """A deterministic fault-injection campaign over one workload, with
-    strike points spread over the steady-state region of the run."""
-    program = benchmark_program(benchmark, scale)
-    total = FunctionalSimulator(program).run().instruction_count
-    start = total // 4
-    stride = max((total - start) // (points + 1), 1)
-    targets = [start + i * stride for i in range(points)]
-    return run_campaign(program, sites=list(sites), target_seqs=targets)
 
 
 def timed_simulate(spec: JobSpec):
@@ -442,8 +411,6 @@ ABLATION_BENCHMARK = "li"
 ABLATION_CONFIDENCE_THRESHOLDS = (4, 32, 128)
 ABLATION_DELAY_CAPACITIES = (32, 256, 1024)
 ABLATION_IR_SCOPES = (1, 8, 16)
-FAULT_STUDY_BENCHMARK = "jpeg"
-FAULT_STUDY_POINTS = 4
 #: The redundancy-mode frontier study rendered in the eval report
 #: (coverage vs throughput across CAMPAIGN_MODES); kept to two
 #: workloads and few points so report rendering stays fast.
@@ -492,10 +459,8 @@ def enumerate_artifact_jobs(
             # Fault-free references of the redundancy-mode frontier
             # study: pre-warming them here keeps the report's campaign
             # pass down to the injection points themselves.
-            add(slipstream_spec(name, scale, config=decorrelated_config()))
-            add(mode_reference_spec(name, "tmr", scale))
-            add(mode_reference_spec(name, "replay", scale))
-    add(fault_spec(FAULT_STUDY_BENCHMARK, points=FAULT_STUDY_POINTS))
+            for mode in ("decorrelated", "tmr", "replay"):
+                add(reference_spec(name, mode, scale))
     for threshold in ABLATION_CONFIDENCE_THRESHOLDS:
         add(slipstream_spec(
             ABLATION_BENCHMARK, scale,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.ceiling import CeilingReport
 from repro.analysis.ineffectual import CrossCheckResult
@@ -37,15 +37,10 @@ from repro.eval.jobs import (
     baseline_spec,
     big_core_spec,
     count_spec,
-    fault_spec,
-    injection_spec,
-    mode_reference_spec,
     simulate,
     slipstream_spec,
     static_spec,
 )
-from repro.fault.coverage import CampaignResult, InjectionResult
-from repro.fault.injector import FaultSite
 from repro.uarch.core import CoreRunResult
 
 _CACHE: Dict[JobKey, object] = {}
@@ -136,38 +131,6 @@ def run_static(
     IR-detector verdicts) and the static ineffectuality ceiling
     (abstract interpretation weighted by an execution profile)."""
     return run_cached(static_spec(benchmark, scale))  # type: ignore[return-value]
-
-
-def run_fault_study(
-    benchmark: str,
-    scale: int = 1,
-    points: int = 6,
-    sites: Sequence[FaultSite] = (FaultSite.A_RESULT, FaultSite.R_TRANSIENT),
-) -> CampaignResult:
-    """A deterministic fault-injection campaign over one workload."""
-    return run_cached(fault_spec(benchmark, scale, points, sites))  # type: ignore[return-value]
-
-
-def run_injection(
-    benchmark: str,
-    site: FaultSite,
-    target_seq: int,
-    bit: int = 7,
-    scale: int = 1,
-    ecc: bool = False,
-    mode: str = "slipstream",
-) -> InjectionResult:
-    """One classified fault injection (a scaled-campaign strike point),
-    against the matching mode's cached fault-free reference."""
-    return run_cached(
-        injection_spec(benchmark, site, target_seq, bit, scale, ecc, mode)
-    )  # type: ignore[return-value]
-
-
-def run_mode_reference(benchmark: str, mode: str, scale: int = 1):
-    """Fault-free N-stream reference run (``"tmr"`` or ``"replay"``);
-    returns a :class:`repro.core.nstream.NStreamResult`."""
-    return run_cached(mode_reference_spec(benchmark, mode, scale))
 
 
 @dataclass

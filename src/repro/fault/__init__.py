@@ -31,7 +31,6 @@ from repro.fault.coverage import (
     classify_run,
     hang_budget,
     inject_one,
-    run_campaign,
 )
 from repro.fault.ecc import ECCModel, PROTECTED_SITES
 from repro.fault.campaign import (
@@ -61,7 +60,6 @@ __all__ = [
     "write_fault_bench",
     "hang_budget",
     "inject_one",
-    "run_campaign",
     "classify_run",
     "run_scenario",
     "SCENARIOS",

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import json
 import random
@@ -153,17 +153,15 @@ class CampaignPoint:
 
 def sample_points(
     config: CampaignConfig,
-    stream_lengths: Dict[str, Dict[str, object]],
+    stream_lengths: Dict[str, Dict[str, Dict[str, int]]],
 ) -> List[CampaignPoint]:
     """Sample the campaign's strike points, deterministically.
 
-    ``stream_lengths`` bounds the sampled sequence numbers, in one of
-    two shapes: ``{benchmark: {"A": executed_by_a, "R": retired}}``
-    (single-mode campaigns — every configured mode reuses the same
-    lengths), or ``{mode: {benchmark: {"A": ..., "R": ...}}}`` with one
-    inner table per configured mode (A-stream numbering only covers the
-    instructions the A-stream actually executed; TMR/replay use their
-    own retirement counts for both keys).
+    ``stream_lengths`` bounds the sampled sequence numbers:
+    ``{mode: {benchmark: {"A": executed_by_a, "R": retired}}}`` with
+    one inner table per configured mode (A-stream numbering only covers
+    the instructions the A-stream actually executed; TMR/replay use
+    their own retirement counts for both keys).
 
     Each (mode, benchmark) pair gets its own seeded RNG stream —
     ``f"{seed}:{benchmark}"`` for the slipstream mode, byte-compatible
@@ -171,16 +169,11 @@ def sample_points(
     otherwise — so adding a benchmark or a mode to the campaign does
     not perturb the points sampled for the others.
     """
-    by_mode: Dict[str, Dict[str, Dict[str, int]]]
-    if stream_lengths and all(key in CAMPAIGN_MODES for key in stream_lengths):
-        by_mode = stream_lengths  # type: ignore[assignment]
-    else:
-        by_mode = {mode: stream_lengths for mode in config.modes}  # type: ignore[dict-item]
     points: List[CampaignPoint] = []
     for mode in config.modes:
         sites = mode_sites(mode, config.sites)
         for benchmark in config.benchmarks:
-            lengths = by_mode[mode][benchmark]
+            lengths = stream_lengths[mode][benchmark]
             stream = (
                 f"{config.seed}:{benchmark}"
                 if mode == "slipstream"
@@ -460,83 +453,63 @@ def campaign_specs(config: CampaignConfig,
 
 
 def _reference_specs(config: CampaignConfig) -> List["JobSpec"]:
-    """Fault-free reference jobs for every (mode, benchmark) pair."""
-    from repro.eval.jobs import (
-        baseline_spec,
-        mode_reference_spec,
-        slipstream_spec,
-    )
-    from repro.core.modes import decorrelated_config
+    """Fault-free reference jobs for every (mode, benchmark) pair; an
+    N-stream reference reads the ss64 baseline, which goes first."""
+    from repro.eval.jobs import baseline_spec, reference_spec
 
     specs: List["JobSpec"] = []
-    seen = set()
-
-    def add(spec: "JobSpec") -> None:
-        if spec.key not in seen:
-            seen.add(spec.key)
-            specs.append(spec)
-
     for mode in config.modes:
         for benchmark in config.benchmarks:
-            if mode == "slipstream":
-                add(slipstream_spec(benchmark, config.scale))
-            elif mode == "decorrelated":
-                add(slipstream_spec(
-                    benchmark, config.scale, config=decorrelated_config()
-                ))
-            else:
-                add(baseline_spec(benchmark, config.scale))
-                add(mode_reference_spec(benchmark, mode, config.scale))
+            if mode in ("tmr", "replay"):
+                specs.append(baseline_spec(benchmark, config.scale))
+            specs.append(reference_spec(benchmark, mode, config.scale))
     return specs
 
 
-def _mode_stream_lengths(
-    config: CampaignConfig,
-) -> Dict[str, Dict[str, Dict[str, int]]]:
-    """Per-mode stream lengths, from the cached fault-free references."""
-    from repro.core.modes import decorrelated_config
+def _references(config: CampaignConfig) -> Dict[str, Dict[str, Any]]:
+    """``{mode: {benchmark: fault-free reference result}}``, read
+    through the caches."""
     from repro.eval import models
+    from repro.eval.jobs import reference_spec
 
-    lengths: Dict[str, Dict[str, Dict[str, int]]] = {}
-    for mode in config.modes:
-        table: Dict[str, Dict[str, int]] = {}
-        for benchmark in config.benchmarks:
-            if mode in ("slipstream", "decorrelated"):
-                cfg = decorrelated_config() if mode == "decorrelated" else None
-                ref = models.run_slipstream_model(
-                    benchmark, config.scale, config=cfg
-                )
-                table[benchmark] = {
-                    "R": ref.retired,
-                    "A": ref.retired - ref.a_removed,
-                }
-            else:
-                ref = models.run_mode_reference(benchmark, mode, config.scale)
-                table[benchmark] = {"R": ref.retired, "A": ref.retired}
-        lengths[mode] = table
-    return lengths
+    return {
+        mode: {
+            benchmark: models.run_cached(
+                reference_spec(benchmark, mode, config.scale))
+            for benchmark in config.benchmarks
+        }
+        for mode in config.modes
+    }
+
+
+def _mode_stream_lengths(
+    references: Dict[str, Dict[str, Any]],
+) -> Dict[str, Dict[str, Dict[str, int]]]:
+    """Per-mode stream lengths: the A-stream skips the removed
+    instructions (none in the N-stream modes)."""
+    return {
+        mode: {
+            benchmark: {
+                "R": ref.retired,
+                "A": ref.retired - getattr(ref, "a_removed", 0),
+            }
+            for benchmark, ref in table.items()
+        }
+        for mode, table in references.items()
+    }
 
 
 def _mode_throughput(
     config: CampaignConfig,
+    references: Dict[str, Dict[str, Any]],
 ) -> Tuple[Dict[str, Optional[float]], Optional[float]]:
     """(per-mode fault-free IPC geomeans, single-core baseline IPC)."""
-    from repro.core.modes import decorrelated_config
     from repro.eval import models
 
-    mode_ipc: Dict[str, Optional[float]] = {}
-    for mode in config.modes:
-        ipcs: List[float] = []
-        for benchmark in config.benchmarks:
-            if mode in ("slipstream", "decorrelated"):
-                cfg = decorrelated_config() if mode == "decorrelated" else None
-                ref = models.run_slipstream_model(
-                    benchmark, config.scale, config=cfg
-                )
-            else:
-                ref = models.run_mode_reference(benchmark, mode, config.scale)
-            ipcs.append(ref.ipc)
-        mode_ipc[mode] = _geomean(ipcs)
+    mode_ipc: Dict[str, Optional[float]] = {
+        mode: _geomean([ref.ipc for ref in table.values()])
+        for mode, table in references.items()
+    }
     baseline = None
     if len(config.modes) > 1 or any(
         mode in ("tmr", "replay") for mode in config.modes
@@ -581,7 +554,8 @@ def run_scaled_campaign(
 
     # Pass 1: fault-free references (stream lengths + reference outputs).
     runner.run(_reference_specs(config))
-    stream_lengths = _mode_stream_lengths(config)
+    references = _references(config)
+    stream_lengths = _mode_stream_lengths(references)
 
     points = sample_points(config, stream_lengths)
     specs = campaign_specs(config, points)
@@ -618,7 +592,8 @@ def run_scaled_campaign(
             point.benchmark, CampaignResult()
         )
         campaign.results.append(injection)
-    result.mode_ipc, result.baseline_ipc = _mode_throughput(config)
+    result.mode_ipc, result.baseline_ipc = _mode_throughput(config,
+                                                            references)
     return result, stats
 
 

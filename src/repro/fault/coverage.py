@@ -453,6 +453,11 @@ def inject_one_nstream(
     as ``MASKED_BY_VOTE``, never ``ECC_CORRECTED``.  The replay mode
     has no voter; its ECC model applies as in the slipstream machine.
 
+    The reference (output, and zero baseline detections) is the
+    functional run unless both are given; ``max_instructions`` bounds
+    the struck run and, when the reference is computed here, defaults
+    to that run's :func:`hang_budget`, as in :func:`inject_one`.
+
     The struck run starts at the strike: the engine reads the
     injector's ``quiet_until`` and runs the fault-free prefix on the
     functional engine (replay from the window boundary before it), and
@@ -468,6 +473,12 @@ def inject_one_nstream(
 
     if mode not in ("tmr", "replay"):
         raise ValueError(f"unknown N-stream mode {mode!r}")
+    if reference_output is None or baseline_detections is None:
+        clean = FunctionalSimulator(program).run()
+        reference_output = clean.output
+        baseline_detections = 0
+        if max_instructions is None:
+            max_instructions = hang_budget(clean.instruction_count)
     ecc_model = ECCModel() if (ecc and mode != "tmr") else None
     injector = FaultInjector(fault, ecc=ecc_model)
     budget = (
@@ -490,10 +501,6 @@ def inject_one_nstream(
             base_cycles=base_cycles,
             max_instructions=budget,
         )
-    if reference_output is None or baseline_detections is None:
-        clean = FunctionalSimulator(program).run()
-        reference_output = clean.output
-        baseline_detections = 0
 
     def struck_run():
         run = engine.run()
@@ -558,34 +565,3 @@ def _classify_struck_run(
         ecc_corrected=report.ecc_corrected,
         mode=mode,
     )
-
-
-def run_campaign(
-    program: Program,
-    sites: Sequence[FaultSite],
-    target_seqs: Sequence[int],
-    bit: int = 7,
-    config: Optional[SlipstreamConfig] = None,
-    ecc: bool = False,
-) -> CampaignResult:
-    """Inject one fault per (site, target) pair and aggregate."""
-    clean_config = config if config is not None else SlipstreamConfig()
-    clean = clean_timeline(program, clean_config).clean_result(clean_config)
-    reference_output = clean.output
-    baseline = clean.ir_mispredictions
-    budget = hang_budget(clean.retired)
-    campaign = CampaignResult()
-    for site in sites:
-        for seq in target_seqs:
-            fault = TransientFault(site=site, target_seq=seq, bit=bit)
-            campaign.results.append(
-                inject_one(
-                    program, fault, config,
-                    reference_output=reference_output,
-                    baseline_detections=baseline,
-                    ecc=ecc,
-                    max_instructions=budget,
-                    reference_retired=clean.retired,
-                )
-            )
-    return campaign

@@ -226,7 +226,9 @@ class TestVoteEdges:
     def test_minority_off_stream_zero_is_repaired(self, monkeypatch, engine):
         """Stream 0 in the majority is no reason to skip the count:
         replica 1 starts with one wrong memory word, is outvoted at the
-        load that reads it, and is repaired."""
+        load that reads it, and is repaired.  The pass-through hook
+        keeps the run in the lockstep loop: a run with no hook is quiet
+        to the end and never votes."""
         made = []
 
         def replica(image=None):
@@ -238,8 +240,10 @@ class TestVoteEdges:
 
         monkeypatch.setattr(nstream, "ArchState", replica)
         source = "main:\n lw r3, 256(r0)\n out r3\n halt\n"
-        result = TMRProcessor(assemble(source, name="bad-replica"),
-                              engine=engine).run()
+        result = TMRProcessor(
+            assemble(source, name="bad-replica"), engine=engine,
+            fault_hook=lambda stream, dyn, state, compared: dyn,
+        ).run()
         assert result.output == [0]
         assert result.detections == 1
         assert result.recoveries == [

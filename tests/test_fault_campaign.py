@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from repro.arch.functional import FunctionalSimulator
 from repro.core.modes import CAMPAIGN_MODES
 from repro.eval import jobs, models
 from repro.fault.campaign import (
@@ -21,6 +22,7 @@ from repro.fault.campaign import (
     write_fault_bench,
 )
 from repro import assemble
+from repro.core.slipstream import SlipstreamProcessor
 from repro.fault.coverage import (
     HANDLED_OUTCOMES,
     HARMFUL_OUTCOMES,
@@ -29,8 +31,8 @@ from repro.fault.coverage import (
     InjectionResult,
     hang_budget,
     inject_one,
+    inject_one_nstream,
     reset_timeline_tally,
-    run_campaign,
     timeline_snapshot,
 )
 from repro.fault.ecc import PROTECTED_SITES, ECCModel
@@ -94,7 +96,8 @@ class TestECCModel:
 
 
 class TestSampling:
-    LENGTHS = {BENCH: {"A": 8000, "R": 10000}, "li": {"A": 5000, "R": 9000}}
+    LENGTHS = {"slipstream": {BENCH: {"A": 8000, "R": 10000},
+                              "li": {"A": 5000, "R": 9000}}}
 
     def test_same_seed_same_points(self):
         config = CampaignConfig(benchmarks=(BENCH, "li"),
@@ -129,7 +132,7 @@ class TestSampling:
         config = CampaignConfig(benchmarks=(BENCH,), points_per_benchmark=30,
                                 seed=3, warmup_fraction=0.25)
         for point in sample_points(config, self.LENGTHS):
-            n = self.LENGTHS[BENCH][
+            n = self.LENGTHS["slipstream"][BENCH][
                 "A" if point.fault.site is FaultSite.A_RESULT else "R"]
             assert int(0.25 * n) <= point.fault.target_seq < n
             assert 0 <= point.fault.bit < 32
@@ -213,6 +216,24 @@ loop:
     )
 
 
+def _countdown_strikes(site, seqs, bit, ecc=False):
+    """One ``inject_one`` per target on the countdown program, all
+    classified against one clean reference and its hang budget."""
+    program = _countdown_program()
+    clean = SlipstreamProcessor(program).run()
+    return CampaignResult(results=[
+        inject_one(
+            program, TransientFault(site=site, target_seq=seq, bit=bit),
+            reference_output=clean.output,
+            baseline_detections=clean.ir_mispredictions,
+            ecc=ecc,
+            max_instructions=hang_budget(clean.retired),
+            reference_retired=clean.retired,
+        )
+        for seq in seqs
+    ])
+
+
 class TestHangBudget:
     def test_budget_is_deterministic_and_generous(self):
         assert hang_budget(1000) == 14_000
@@ -223,11 +244,7 @@ class TestHangBudget:
         """Strike the loop counter's high bit in R-stream architectural
         state: recovery copies the corrupted counter into the A-stream
         and both streams loop ~2^20 more iterations."""
-        program = _countdown_program()
-        campaign = run_campaign(
-            program, sites=[FaultSite.R_ARCH],
-            target_seqs=range(9), bit=20,
-        )
+        campaign = _countdown_strikes(FaultSite.R_ARCH, range(9), bit=20)
         counts = campaign.counts()
         assert counts.get(FaultOutcome.HANG, 0) > 0
         hangs = [r for r in campaign.results
@@ -250,11 +267,8 @@ class TestHangBudget:
     def test_ecc_prevents_the_hang(self):
         """The same strikes under ECC are corrected before the corrupted
         counter can drive the loop: no hangs, only corrections."""
-        program = _countdown_program()
-        campaign = run_campaign(
-            program, sites=[FaultSite.R_ARCH],
-            target_seqs=range(9), bit=20, ecc=True,
-        )
+        campaign = _countdown_strikes(FaultSite.R_ARCH, range(9), bit=20,
+                                      ecc=True)
         counts = campaign.counts()
         assert counts.get(FaultOutcome.HANG, 0) == 0
         assert counts.get(FaultOutcome.ECC_CORRECTED, 0) > 0
@@ -268,6 +282,22 @@ class TestHangBudget:
             TransientFault(site=FaultSite.R_ARCH, target_seq=10**6, bit=20),
         )
         assert result.outcome is FaultOutcome.NOT_FIRED
+
+    def test_nstream_default_budget_is_the_hang_budget(self):
+        """Without a reference, ``inject_one_nstream`` bounds the struck
+        run by the functional run's hang budget, as ``inject_one`` does,
+        so the same point classifies the same whichever entry point
+        runs it."""
+        program = _countdown_program()
+        fault = TransientFault(site=FaultSite.R_ARCH, target_seq=66, bit=20)
+        clean = FunctionalSimulator(program).run()
+        budgeted = inject_one_nstream(
+            program, fault, "replay", reference_output=clean.output,
+            baseline_detections=0,
+            max_instructions=hang_budget(clean.instruction_count),
+        )
+        assert budgeted.outcome is FaultOutcome.HANG
+        assert inject_one_nstream(program, fault, "replay") == budgeted
 
 
 class TestScaledCampaign:
@@ -389,7 +419,8 @@ class TestModeSites:
 
 
 class TestMultiModeSampling:
-    FLAT = {BENCH: {"A": 8000, "R": 10000}}
+    #: Every mode with the same stream lengths.
+    SAME = {mode: {BENCH: {"A": 8000, "R": 10000}} for mode in CAMPAIGN_MODES}
     BY_MODE = {
         "slipstream": {BENCH: {"A": 8000, "R": 10000}},
         "tmr": {BENCH: {"A": 9000, "R": 9000}},
@@ -409,8 +440,8 @@ class TestMultiModeSampling:
                               seed=7)
         multi = CampaignConfig(benchmarks=(BENCH,), points_per_benchmark=6,
                                seed=7, modes=CAMPAIGN_MODES)
-        solo_points = sample_points(solo, self.FLAT)
-        multi_points = [p for p in sample_points(multi, self.FLAT)
+        solo_points = sample_points(solo, self.SAME)
+        multi_points = [p for p in sample_points(multi, self.SAME)
                         if p.mode == "slipstream"]
         assert [(p.benchmark, p.fault) for p in solo_points] == \
             [(p.benchmark, p.fault) for p in multi_points]
@@ -418,7 +449,7 @@ class TestMultiModeSampling:
     def test_modes_draw_distinct_strike_points(self):
         config = CampaignConfig(benchmarks=(BENCH,), points_per_benchmark=6,
                                 seed=7, modes=("slipstream", "replay"))
-        points = sample_points(config, self.FLAT)
+        points = sample_points(config, self.SAME)
         slip = [p.fault.target_seq for p in points if p.mode == "slipstream"]
         repl = [p.fault.target_seq for p in points if p.mode == "replay"]
         assert len(slip) == len(repl) == 6

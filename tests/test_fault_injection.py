@@ -6,10 +6,11 @@ from repro.arch.functional import FunctionalSimulator
 from repro.arch.state import ArchState
 from repro.core.slipstream import SlipstreamConfig, SlipstreamProcessor
 from repro.fault.coverage import (
+    CampaignResult,
     FaultOutcome,
     classify_run,
+    hang_budget,
     inject_one,
-    run_campaign,
 )
 from repro.fault.injector import (
     FaultInjector,
@@ -208,13 +209,27 @@ class TestClassification:
         assert classify_run([1], injector, [1], 0, 0) is FaultOutcome.NOT_FIRED
 
 
+def _strikes(program, sites, seqs):
+    """One ``inject_one`` per (site, target), all classified against one
+    clean reference and its hang budget."""
+    clean = SlipstreamProcessor(program).run()
+    return CampaignResult(results=[
+        inject_one(
+            program, TransientFault(site=site, target_seq=seq),
+            reference_output=clean.output,
+            baseline_detections=clean.ir_mispredictions,
+            max_instructions=hang_budget(clean.retired),
+            reference_retired=clean.retired,
+        )
+        for site in sites
+        for seq in seqs
+    ])
+
+
 class TestCampaign:
     def test_small_campaign_aggregates(self, program):
-        campaign = run_campaign(
-            program,
-            sites=[FaultSite.A_RESULT, FaultSite.R_TRANSIENT],
-            target_seqs=[6000, 9001],
-        )
+        campaign = _strikes(program, [FaultSite.A_RESULT, FaultSite.R_TRANSIENT],
+                            [6000, 9001])
         assert len(campaign.results) == 4
         counts = campaign.counts()
         assert sum(counts.values()) == 4
@@ -230,10 +245,7 @@ class TestCampaign:
     def test_a_stream_faults_always_safe(self, program):
         """Faults confined to the A-stream are always transparently
         handled: the R-stream independently recomputes everything."""
-        campaign = run_campaign(
-            program, sites=[FaultSite.A_RESULT],
-            target_seqs=[5000, 7003, 9001],
-        )
+        campaign = _strikes(program, [FaultSite.A_RESULT], [5000, 7003, 9001])
         for result in campaign.results:
             assert result.outcome in (
                 FaultOutcome.DETECTED_RECOVERED,

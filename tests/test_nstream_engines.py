@@ -73,6 +73,14 @@ def fallback_calls(monkeypatch):
     return counts
 
 
+def pass_through(stream, dyn, state, compared):
+    """A hook that alters nothing and declares no ``quiet_until``: the
+    machine offers it every retirement, so a fault-free run with it
+    goes through the lockstep loop (a hook-less run is quiet to the end
+    and never enters it)."""
+    return dyn
+
+
 def _run_both(cls, program, fault=None, **kwargs):
     """Run ``cls`` on each engine; returns [(result, report), ...]."""
     runs = []
@@ -89,7 +97,8 @@ def _run_both(cls, program, fault=None, **kwargs):
 @pytest.mark.parametrize("bench", [b.name for b in benchmark_suite()])
 def test_fault_free_results_identical(bench, label, cls, kwargs):
     program = get_benchmark(bench).program()
-    (interp, _), (comp, _) = _run_both(cls, program, **kwargs)
+    interp, comp = (cls(program, fault_hook=pass_through, engine=engine,
+                        **kwargs).run() for engine in ENGINES)
     assert comp == interp
     assert comp.detections == 0
 
@@ -155,16 +164,17 @@ class TestEngineSelection:
     def test_env_opt_out_selects_the_interpreter(self, monkeypatch,
                                                  fallback_calls, cls):
         """``REPRO_COMPILED=0`` runs every step through ``execute_one``;
-        the default runs none through it on a clean program."""
+        the default runs none through it on a clean program.  The
+        pass-through hook keeps both runs in the lockstep loop."""
         program = get_benchmark("jpeg").program()
         monkeypatch.setenv(ENGINE_ENV, "0")
-        processor = cls(program)
+        processor = cls(program, fault_hook=pass_through)
         assert processor.engine == "interpreted"
         result = processor.run()
         assert fallback_calls["calls"] >= result.retired
         monkeypatch.delenv(ENGINE_ENV)
         fallback_calls.update(calls=0, raised=0)
-        processor = cls(program)
+        processor = cls(program, fault_hook=pass_through)
         assert processor.engine == "compiled"
         assert processor.run() == result
         assert fallback_calls["calls"] == 0

@@ -184,7 +184,9 @@ def test_struck_run_matches_oracle(jpeg, mode, site, target, bit):
     # The machine never offered the hook the prefix it skipped.
     skipped = seq if mode == "tmr" else seq // L * L
     if seq >= retired:
-        skipped = 0  # the run halts before the strike: from the entry
+        # The run halts before the strike: all of it (TMR), or all but
+        # the window that halts (replay), runs quiet.
+        skipped = retired if mode == "tmr" else (retired - 1) // L * L
     assert hook.calls <= fast.retired - skipped
 
 
@@ -265,6 +267,79 @@ def test_trapping_program_matches_oracle(mode, site, seq):
     fast, hook = _check_against_oracle(mode, program, fault)
     assert fast[0] is SimulationError
     assert "unaligned memory access" in fast[1]
+
+
+def pass_through(stream, dyn, state, compared):
+    """The oracle for a hook-less run: a hook that alters nothing and
+    declares no ``quiet_until``, so the machine runs its lockstep loop
+    from the entry."""
+    return dyn
+
+
+#: A countdown loop retiring ``3 n + 4`` instructions: n = 20 and 84
+#: halt on the last instruction of a window (64 and 256 retirements).
+COUNTDOWN = """
+main:
+    addi r1, r0, {n}
+    addi r2, r0, 0
+loop:
+    add  r2, r2, r1
+    addi r1, r1, -1
+    bne  r1, r0, loop
+    out  r2
+    halt
+"""
+
+
+def _hookless_cases():
+    yield "jpeg", get_benchmark("jpeg").program(1), None
+    for n in (20, 21, 84, 85, 100):
+        program = assemble(COUNTDOWN.format(n=n), name=f"countdown-{n}")
+        retired = 3 * n + 4
+        for budget in (None, retired, retired - 1, L - 1):
+            yield f"countdown-{n}-{budget}", program, budget
+    yield "trap-at-end", assemble(TRAP_AT_END, name="trap-at-end"), None
+
+
+HOOKLESS = list(_hookless_cases())
+
+
+@pytest.mark.parametrize("mode", sorted(PROCESSORS))
+@pytest.mark.parametrize("label,program,budget", HOOKLESS,
+                         ids=[case[0] for case in HOOKLESS])
+def test_hookless_run_matches_lockstep(monkeypatch, mode, label, program,
+                                      budget):
+    """A run with no hook is quiet to its budget: TMR runs all of it on
+    ``advance`` and replay all but the window that halts, with the
+    result (or the error) of the lockstep loop.  Both runs here are on
+    the interpreter, where every lockstep step is one ``execute_one``
+    call in the N-stream module."""
+    import repro.core.nstream as nstream
+
+    kwargs = {"engine": "interpreted"}
+    if budget is not None:
+        kwargs["max_instructions"] = budget
+    steps = []
+    real = nstream.execute_one
+
+    def counting(*args, **kw):
+        steps.append(args[2])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(nstream, "execute_one", counting)
+    oracle = _run(mode, program, pass_through, **kwargs)
+    lockstep = len(steps)
+    del steps[:]
+    fast = _run(mode, program, None, **kwargs)
+    assert fast == oracle
+    if isinstance(fast, tuple):
+        return  # an overrun or a trap: the loop reaches it as before
+    assert lockstep >= fast.retired
+    if mode == "tmr":
+        assert steps == []
+    else:
+        # The halting window, and its replay when it is scrubbed.
+        assert len(steps) <= 2 * L
 
 
 class TestAdvance:
