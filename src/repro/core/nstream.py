@@ -2,9 +2,9 @@
 
 The slipstream A/R pair is one point in the redundancy design space.
 This module implements two other points over the same ISA/arch
-substrate, both driven through the declarative
-:class:`repro.core.modes.RedundancyMode` framework and the existing
-fault campaign:
+substrate, both run by the fault campaign (:mod:`repro.fault.campaign`,
+whose ``MODE_FACTS`` table gives each mode's stream count and fault
+sites):
 
 * :class:`TMRProcessor` — Elzar-style triple modular redundancy.
   ``n_streams`` full architectural contexts execute the program in

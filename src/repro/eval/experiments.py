@@ -25,7 +25,7 @@ from repro.eval.models import (
     run_static,
 )
 from repro.fault.coverage import CampaignResult
-from repro.fault.injector import FaultSite
+from repro.fault.injector import FaultSite, TransientFault
 from repro.uarch.config import SS_128x8, SS_64x4
 from repro.workloads.suite import benchmark_suite
 
@@ -357,22 +357,31 @@ def fault_coverage_study(
     of the run, struck at every site: each (site, target) pair is one
     cached ``finj`` job (bit 7, slipstream mode) against the default
     ``cmp`` reference, the same path as the scaled campaign.  ``jobs``
-    workers run the cold points, submitted in (site, target) order so
-    each site's points share one clean timeline per process."""
-    from repro.eval.jobs import injection_spec
+    workers run the cold points, submitted in the campaign's
+    :func:`~repro.fault.campaign.strike_order` so they share one clean
+    timeline per process; the results come back in (site, target)
+    order."""
+    from repro.eval.jobs import reference_spec
     from repro.eval.runner import ExperimentRunner
+    from repro.fault.campaign import (
+        CampaignPoint, campaign_specs, mode_stream_lengths, strike_order,
+    )
     from repro.fault.coverage import release_timeline
 
     total = run_instruction_count(benchmark, scale)
     start = total // 4
     stride = max((total - start) // (points + 1), 1)
-    specs = [
-        injection_spec(benchmark, site, start + i * stride, scale=scale)
+    strikes = [
+        CampaignPoint(benchmark, TransientFault(site, start + i * stride))
         for site in sites
         for i in range(points)
     ]
+    specs = campaign_specs(strikes, scale)
+    reference = run_cached(reference_spec(benchmark, "slipstream", scale))
+    lengths = mode_stream_lengths({"slipstream": {benchmark: reference}})
     try:
-        ExperimentRunner(jobs=jobs).run(specs)
+        ExperimentRunner(jobs=jobs).run(
+            [specs[index] for index in strike_order(strikes, lengths)])
     finally:
         release_timeline()
     return CampaignResult(results=[run_cached(spec) for spec in specs])

@@ -45,7 +45,7 @@ import repro
 from repro.analysis.ceiling import ceiling_report
 from repro.analysis.ineffectual import cross_check
 from repro.arch.functional import FunctionalSimulator
-from repro.core.modes import decorrelated_config
+from repro.core.modes import CAMPAIGN_MODES, decorrelated_config
 from repro.core.slipstream import SlipstreamConfig, SlipstreamProcessor
 from repro.eval.resilience import JobTimeout
 from repro.fault.coverage import hang_budget, inject_one, inject_one_nstream
@@ -313,7 +313,6 @@ def _simulate_injection(spec: JobSpec):
             baseline_detections=reference.detections,
             ecc=spec.ecc,
             max_instructions=hang_budget(reference.retired),
-            base_cycles=None,
         )
     result = inject_one(
         program,
@@ -459,7 +458,7 @@ def enumerate_artifact_jobs(
             # Fault-free references of the redundancy-mode frontier
             # study: pre-warming them here keeps the report's campaign
             # pass down to the injection points themselves.
-            for mode in ("decorrelated", "tmr", "replay"):
+            for mode in CAMPAIGN_MODES:
                 add(reference_spec(name, mode, scale))
     for threshold in ABLATION_CONFIDENCE_THRESHOLDS:
         add(slipstream_spec(

@@ -42,12 +42,12 @@ from repro.workloads.suite import benchmark_suite
 _SITE_NAMES = {site.value: site for site in FaultSite}
 
 
-def _parse_sites(names: List[str]) -> tuple:
+def _parse_sites(parser: argparse.ArgumentParser, names: List[str]) -> tuple:
     sites = []
     for name in names:
         site = _SITE_NAMES.get(name)
         if site is None:
-            raise SystemExit(
+            parser.error(
                 f"unknown fault site {name!r} "
                 f"(choose from: {', '.join(sorted(_SITE_NAMES))})"
             )
@@ -55,18 +55,17 @@ def _parse_sites(names: List[str]) -> tuple:
     return tuple(sites)
 
 
-def _parse_modes(raw: str) -> tuple:
+def _parse_modes(parser: argparse.ArgumentParser, raw: str) -> tuple:
     names = [m.strip() for m in raw.split(",") if m.strip()]
     if names == ["all"]:
         return CAMPAIGN_MODES
     unknown = [m for m in names if m not in CAMPAIGN_MODES]
     if unknown or not names:
-        raise SystemExit(
+        parser.error(
             f"unknown redundancy mode(s) {unknown or [raw]} "
             f"(choose from: {', '.join(CAMPAIGN_MODES)}, or 'all')"
         )
-    deduped = tuple(dict.fromkeys(names))
-    return deduped
+    return tuple(dict.fromkeys(names))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -117,9 +116,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         scale=args.scale,
         points_per_benchmark=args.points,
         seed=args.seed,
-        sites=_parse_sites(args.sites),
+        sites=_parse_sites(parser, args.sites),
         ecc=args.ecc,
-        modes=_parse_modes(args.modes),
+        modes=_parse_modes(parser, args.modes),
     )
     result, stats = run_scaled_campaign(
         config,

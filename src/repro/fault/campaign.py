@@ -40,12 +40,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import json
 import random
 
-from repro.core.modes import CAMPAIGN_MODES, resolve_mode
+from repro.core.modes import CAMPAIGN_MODES
 from repro.fault.coverage import (
     HANDLED_OUTCOMES,
     HARMFUL_OUTCOMES,
@@ -69,6 +69,29 @@ DEFAULT_SITES: Tuple[FaultSite, ...] = (
 )
 
 
+class ModeFacts(NamedTuple):
+    """What one campaign mode runs on: its stream (context) count and
+    the fault sites its strike points can land on."""
+
+    n_streams: int
+    sites: Tuple[FaultSite, ...]
+
+
+#: Every campaign mode's facts, in :data:`~repro.core.modes.CAMPAIGN_MODES`
+#: order: the slipstream A/R pair, Elzar-style TMR voting over three
+#: full streams, RepTFD-style replay windows (one primary stream; the
+#: shadow re-executes only scrubbed windows) and the DME-style
+#: decorrelated pair.  TMR and replay have no A-stream.
+MODE_FACTS: Dict[str, ModeFacts] = {
+    "slipstream": ModeFacts(2, (FaultSite.A_RESULT, FaultSite.R_TRANSIENT,
+                                FaultSite.R_ARCH)),
+    "tmr": ModeFacts(3, (FaultSite.R_TRANSIENT, FaultSite.R_ARCH)),
+    "replay": ModeFacts(1, (FaultSite.R_TRANSIENT, FaultSite.R_ARCH)),
+    "decorrelated": ModeFacts(2, (FaultSite.A_RESULT, FaultSite.R_TRANSIENT,
+                                  FaultSite.R_ARCH, FaultSite.CORRELATED)),
+}
+
+
 def _default_benchmarks() -> Tuple[str, ...]:
     return tuple(b.name for b in benchmark_suite())
 
@@ -80,16 +103,15 @@ def mode_sites(
 
     The slipstream mode keeps the campaign's configured sites verbatim
     (back-compatible).  Other modes intersect the configured list with
-    the sites their :class:`~repro.core.modes.RedundancyMode` spec
-    declares meaningful, falling back to the spec's full list when the
-    intersection is empty (so a default-sites campaign still exercises
-    TMR/replay, which have no A-stream).  The decorrelated mode
-    additionally appends ``CORRELATED`` — the site it exists to handle.
+    their :data:`MODE_FACTS` sites, falling back to that full list when
+    the intersection is empty (so a default-sites campaign still
+    exercises TMR/replay, which have no A-stream).  The decorrelated
+    mode additionally appends ``CORRELATED`` — the site it exists to
+    handle.
     """
     if mode == "slipstream":
         return configured
-    spec = resolve_mode(mode)
-    allowed = tuple(FaultSite(value) for value in spec.campaign_sites)
+    allowed = MODE_FACTS[mode].sites
     sites = tuple(s for s in configured if s in allowed)
     if not sites:
         sites = allowed
@@ -307,7 +329,7 @@ class ScaledCampaignResult:
                 if r.detect_latency is not None
             ]
             ipc = self.mode_ipc.get(mode)
-            n_streams = resolve_mode(mode).n_streams
+            n_streams = MODE_FACTS[mode].n_streams
             relative = None
             if ipc is not None and self.baseline_ipc:
                 relative = ipc / n_streams / self.baseline_ipc
@@ -433,9 +455,9 @@ class ScaledCampaignResult:
         }
 
 
-def campaign_specs(config: CampaignConfig,
-                   points: Sequence[CampaignPoint]) -> List["JobSpec"]:
-    """The campaign's points as runner job specs."""
+def campaign_specs(points: Sequence[CampaignPoint], scale: int = 1,
+                   ecc: bool = False) -> List["JobSpec"]:
+    """Strike points as runner job specs."""
     from repro.eval.jobs import injection_spec
 
     return [
@@ -444,8 +466,8 @@ def campaign_specs(config: CampaignConfig,
             point.fault.site,
             point.fault.target_seq,
             bit=point.fault.bit,
-            scale=config.scale,
-            ecc=config.ecc,
+            scale=scale,
+            ecc=ecc,
             mode=point.mode,
         )
         for point in points
@@ -482,11 +504,12 @@ def _references(config: CampaignConfig) -> Dict[str, Dict[str, Any]]:
     }
 
 
-def _mode_stream_lengths(
+def mode_stream_lengths(
     references: Dict[str, Dict[str, Any]],
 ) -> Dict[str, Dict[str, Dict[str, int]]]:
-    """Per-mode stream lengths: the A-stream skips the removed
-    instructions (none in the N-stream modes)."""
+    """Per-mode stream lengths of ``{mode: {benchmark: fault-free
+    reference}}``: the A-stream skips the removed instructions (none in
+    the N-stream modes)."""
     return {
         mode: {
             benchmark: {
@@ -497,6 +520,29 @@ def _mode_stream_lengths(
         }
         for mode, table in references.items()
     }
+
+
+def strike_order(
+    points: Sequence[CampaignPoint],
+    lengths: Dict[str, Dict[str, Dict[str, int]]],
+) -> List[int]:
+    """The order to submit ``points`` in, as indices into ``points``.
+
+    Points go per (mode, benchmark) in order of how far into the run
+    they strike, so each process's clean timeline
+    (:class:`repro.fault.coverage.CleanTimeline`) serves them from one
+    live machine.  Progress is the target's fraction of its own stream
+    (``lengths`` as in :func:`sample_points`): A- and R-stream seqs
+    differ by the removed instructions, and a raw-seq order would put
+    an R-site point behind the machine an A-site point advanced.
+    """
+    def progress(index: int) -> Tuple[str, str, float]:
+        point = points[index]
+        stream = lengths[point.mode][point.benchmark]
+        n = stream["A" if point.fault.site in A_NUMBERED_SITES else "R"]
+        return point.mode, point.benchmark, point.fault.target_seq / max(n, 1)
+
+    return sorted(range(len(points)), key=progress)
 
 
 def _mode_throughput(
@@ -555,28 +601,16 @@ def run_scaled_campaign(
     # Pass 1: fault-free references (stream lengths + reference outputs).
     runner.run(_reference_specs(config))
     references = _references(config)
-    stream_lengths = _mode_stream_lengths(references)
+    lengths = mode_stream_lengths(references)
 
-    points = sample_points(config, stream_lengths)
-    specs = campaign_specs(config, points)
+    points = sample_points(config, lengths)
+    specs = campaign_specs(points, config.scale, config.ecc)
 
-    # Pass 2: the strike points, fanned through the runner.
-    # They are submitted per (mode, benchmark) in order of how far into
-    # the run they strike, so each process's clean timeline
-    # (repro.fault.coverage.CleanTimeline) serves them from one live
-    # machine.  Progress is the target's fraction of its own stream: A-
-    # and R-stream seqs differ by the removed instructions, and a raw-seq
-    # order would put an R-site point behind the machine an A-site point
-    # advanced.  Results are read back in sampling order below.
-    def progress(index: int) -> Tuple[str, str, float]:
-        point = points[index]
-        lengths = stream_lengths[point.mode][point.benchmark]
-        n = lengths["A" if point.fault.site in A_NUMBERED_SITES else "R"]
-        return point.mode, point.benchmark, point.fault.target_seq / max(n, 1)
-
-    order = sorted(range(len(specs)), key=progress)
+    # Pass 2: the strike points, fanned through the runner in
+    # strike_order; results are read back in sampling order below.
     try:
-        stats = runner.run([specs[index] for index in order])
+        stats = runner.run([specs[index]
+                            for index in strike_order(points, lengths)])
     except RunnerError as error:
         stats = error.stats
     finally:
@@ -696,12 +730,16 @@ __all__ = [
     "CampaignConfig",
     "CampaignPoint",
     "DEFAULT_SITES",
+    "MODE_FACTS",
+    "ModeFacts",
     "ScaledCampaignResult",
     "campaign_specs",
     "format_coverage_table",
     "format_frontier_table",
     "mode_sites",
+    "mode_stream_lengths",
     "run_scaled_campaign",
     "sample_points",
+    "strike_order",
     "write_fault_bench",
 ]

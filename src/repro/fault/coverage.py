@@ -437,13 +437,11 @@ def inject_one_nstream(
     baseline_detections: Optional[int] = None,
     ecc: bool = False,
     max_instructions: Optional[int] = None,
-    n_streams: int = 3,
-    base_cycles: Optional[int] = None,
 ) -> InjectionResult:
     """Run an N-stream redundancy engine with one injected fault.
 
-    ``mode`` selects the engine: ``"tmr"``
-    (:class:`repro.core.nstream.TMRProcessor`) or ``"replay"``
+    ``mode`` selects the engine: ``"tmr"`` (three-stream
+    :class:`repro.core.nstream.TMRProcessor`) or ``"replay"``
     (:class:`repro.core.nstream.ReplayWindowProcessor`).
 
     Under TMR the voter claims every single-stream strike *at
@@ -487,20 +485,11 @@ def inject_one_nstream(
         else DEFAULT_MAX_INSTRUCTIONS
     )
     if mode == "tmr":
-        engine = TMRProcessor(
-            program,
-            n_streams=n_streams,
-            fault_hook=injector,
-            base_cycles=base_cycles,
-            max_instructions=budget,
-        )
+        engine = TMRProcessor(program, fault_hook=injector,
+                              max_instructions=budget)
     else:
-        engine = ReplayWindowProcessor(
-            program,
-            fault_hook=injector,
-            base_cycles=base_cycles,
-            max_instructions=budget,
-        )
+        engine = ReplayWindowProcessor(program, fault_hook=injector,
+                                       max_instructions=budget)
 
     def struck_run():
         run = engine.run()

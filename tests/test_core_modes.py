@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch.functional import FunctionalSimulator
 from repro.core.modes import (
+    ModeError,
     ModeResult,
     OperatingMode,
     reliable_config,
@@ -115,3 +116,28 @@ class TestReliableMode:
         slip = run_mode(OperatingMode.SLIPSTREAM, [program()])
         reliable = run_mode(OperatingMode.RELIABLE, [program()])
         assert reliable.cycles <= slip.cycles * 1.6
+
+
+class TestModeErrors:
+    @pytest.mark.parametrize("name", ["bogus", "tmr", "replay",
+                                      "decorrelated"])
+    def test_unknown_mode_is_structured(self, name):
+        """The chip runs the paper's three modes; the campaign's other
+        redundancy modes run only through :mod:`repro.fault.campaign`."""
+        with pytest.raises(ModeError) as err:
+            run_mode(name, [program()])
+        assert err.value.mode == name
+        assert "known modes" in err.value.hint
+        assert isinstance(err.value, ValueError)
+
+    def test_arity_error_is_structured(self):
+        with pytest.raises(ModeError) as err:
+            run_mode("reliable", [program(), program()])
+        assert err.value.mode == "reliable"
+        assert err.value.n_programs == 2
+        assert "exactly one program" in err.value.hint
+
+    def test_string_and_enum_names_agree(self):
+        by_name = run_mode("reliable", [program()])
+        assert by_name.mode is OperatingMode.RELIABLE
+        assert by_name == run_mode(OperatingMode.RELIABLE, [program()])

@@ -11,15 +11,7 @@ import pytest
 import repro.core.nstream as nstream
 from repro.arch.functional import FunctionalSimulator
 from repro.arch.state import ArchState
-from repro.core.modes import (
-    CAMPAIGN_MODES,
-    ModeError,
-    OperatingMode,
-    REDUNDANCY_MODES,
-    decorrelated_config,
-    resolve_mode,
-    run_mode,
-)
+from repro.core.modes import decorrelated_config
 from repro.core.nstream import (
     REPLAY_SCRUB_INTERVAL,
     REPLAY_WINDOW_LENGTH,
@@ -28,7 +20,7 @@ from repro.core.nstream import (
     TMRProcessor,
 )
 from repro.core.recovery import MIN_RECOVERY_LATENCY, RecoveryCost
-from repro.core.slipstream import SimulationError
+from repro.core.slipstream import SimulationError, SlipstreamProcessor
 from repro.fault.coverage import (
     HANDLED_OUTCOMES,
     HARMFUL_OUTCOMES,
@@ -153,10 +145,15 @@ class TestTMRVoting:
         assert scrubbed.ecc_corrected
 
     def test_five_streams_still_outvote_one(self):
-        fault = TransientFault(FaultSite.R_TRANSIENT, target_seq=SCRUBBED_ADD,
-                               bit=3)
-        result = inject_one_nstream(program(), fault, "tmr", n_streams=5)
-        assert result.outcome is FaultOutcome.MASKED_BY_VOTE
+        injector = FaultInjector(
+            TransientFault(FaultSite.R_TRANSIENT, target_seq=SCRUBBED_ADD,
+                           bit=3)
+        )
+        result = TMRProcessor(program(), n_streams=5,
+                              fault_hook=injector).run()
+        assert injector.report.fired
+        assert result.output == reference().output
+        assert result.detections == 1
 
 
 class TestVoteEdges:
@@ -371,8 +368,6 @@ class TestDecorrelatedStreams:
 
     def test_companion_report_fields(self):
         injector = FaultInjector(self.FAULT, decorrelated=True)
-        from repro.core.slipstream import SlipstreamProcessor
-
         SlipstreamProcessor(
             program(), decorrelated_config(), fault_hook=injector
         ).run()
@@ -390,59 +385,7 @@ class TestDecorrelatedStreams:
     def test_decorrelated_config_is_clean_run_equivalent(self):
         """Decorrelation is undone at comparison time: a clean run's
         output is identical, only the transfer latency grows."""
-        plain = run_mode(OperatingMode.SLIPSTREAM, [program()])
-        deco = run_mode(OperatingMode.DECORRELATED, [program()])
-        assert deco.core_results[0].output == plain.core_results[0].output
+        plain = SlipstreamProcessor(program()).run()
+        deco = SlipstreamProcessor(program(), decorrelated_config()).run()
+        assert deco.output == plain.output
         assert deco.cycles >= plain.cycles
-
-
-class TestRunModeDispatch:
-    def test_registry_covers_the_campaign_modes(self):
-        assert set(CAMPAIGN_MODES) <= set(REDUNDANCY_MODES)
-        assert REDUNDANCY_MODES["tmr"].n_streams == 3
-        assert REDUNDANCY_MODES["decorrelated"].campaign_sites[-1] == \
-            "correlated"
-
-    def test_tmr_mode_runs_and_prices_redundancy(self):
-        result = run_mode("tmr", [program()])
-        assert result.mode is OperatingMode.TMR
-        assert result.redundancy == 2.0
-        assert result.core_results[1].output == reference().output
-
-    def test_tmr_accepts_odd_stream_override(self):
-        result = run_mode("tmr", [program()], n_streams=5)
-        assert result.redundancy == 4.0
-
-    def test_replay_mode_reports_partial_redundancy(self):
-        result = run_mode("replay", [program()])
-        assert result.mode is OperatingMode.REPLAY
-        assert 0.0 < result.redundancy < 1.0
-        assert result.core_results[1].output == reference().output
-
-    def test_unknown_mode_is_structured(self):
-        with pytest.raises(ModeError) as err:
-            run_mode("bogus", [program()])
-        assert err.value.mode == "bogus"
-        assert "known modes" in err.value.hint
-        assert isinstance(err.value, ValueError)  # back-compat
-
-    def test_arity_error_is_structured(self):
-        with pytest.raises(ModeError) as err:
-            run_mode("tmr", [program(), program()])
-        assert err.value.mode == "tmr"
-        assert err.value.n_programs == 2
-        assert "exactly one program" in err.value.hint
-
-    def test_override_rejected_where_not_allowed(self):
-        with pytest.raises(ModeError) as err:
-            run_mode("slipstream", [program()], n_streams=5)
-        assert "override" in err.value.hint
-
-    def test_even_override_rejected(self):
-        with pytest.raises(ModeError) as err:
-            run_mode("tmr", [program()], n_streams=4)
-        assert "odd" in err.value.hint
-
-    def test_resolve_mode_accepts_enum_and_string(self):
-        assert resolve_mode(OperatingMode.TMR).name == "tmr"
-        assert resolve_mode("tmr") is resolve_mode(OperatingMode.TMR)

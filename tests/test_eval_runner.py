@@ -61,6 +61,20 @@ class TestDedup:
                        and k.benchmark == "li"]
         assert len(default_cmp) == 1
 
+    def test_artifact_enumeration_prewarms_every_campaign_reference(self):
+        """The frontier study's fault-free references: one per campaign
+        mode and frontier workload, the slipstream one being the default
+        ``cmp`` job the figures already need."""
+        from repro.core.modes import CAMPAIGN_MODES
+        from repro.eval.jobs import FRONTIER_BENCHMARKS, reference_spec
+
+        specs = enumerate_artifact_jobs(1)
+        assert len(specs) == 63
+        for name in FRONTIER_BENCHMARKS:
+            for mode in CAMPAIGN_MODES:
+                assert reference_spec(name, mode).key in \
+                    [spec.key for spec in specs]
+
     def test_rejects_bad_job_count(self):
         with pytest.raises(ValueError):
             ExperimentRunner(jobs=0)

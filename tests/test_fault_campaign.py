@@ -12,13 +12,16 @@ from repro.arch.functional import FunctionalSimulator
 from repro.core.modes import CAMPAIGN_MODES
 from repro.eval import jobs, models
 from repro.fault.campaign import (
+    MODE_FACTS,
     CampaignConfig,
+    CampaignPoint,
     ScaledCampaignResult,
     format_coverage_table,
     format_frontier_table,
     mode_sites,
     run_scaled_campaign,
     sample_points,
+    strike_order,
     write_fault_bench,
 )
 from repro import assemble
@@ -418,6 +421,37 @@ class TestModeSites:
         assert FaultSite.A_RESULT not in sites
 
 
+class TestModeFacts:
+    def test_one_row_per_campaign_mode_in_order(self):
+        assert tuple(MODE_FACTS) == CAMPAIGN_MODES
+
+    def test_stream_counts(self):
+        assert {mode: facts.n_streams for mode, facts in MODE_FACTS.items()} \
+            == {"slipstream": 2, "tmr": 3, "replay": 1, "decorrelated": 2}
+
+
+class TestStrikeOrder:
+    LENGTHS = {"slipstream": {BENCH: {"A": 500, "R": 1000}},
+               "tmr": {BENCH: {"A": 1000, "R": 1000}}}
+
+    def point(self, site, seq, mode="slipstream"):
+        return CampaignPoint(BENCH, TransientFault(site, seq), mode)
+
+    def test_orders_by_fraction_of_own_stream(self):
+        """A-site seq 300 is 60% into the A-stream, R-site seq 400 only
+        40% into the R-stream: the R-site point goes first."""
+        points = [self.point(FaultSite.A_RESULT, 300),
+                  self.point(FaultSite.R_TRANSIENT, 400),
+                  self.point(FaultSite.R_ARCH, 100)]
+        assert strike_order(points, self.LENGTHS) == [2, 1, 0]
+
+    def test_groups_by_mode_then_benchmark(self):
+        points = [self.point(FaultSite.R_ARCH, 900),
+                  self.point(FaultSite.R_ARCH, 10, mode="tmr"),
+                  self.point(FaultSite.R_ARCH, 20)]
+        assert strike_order(points, self.LENGTHS) == [2, 0, 1]
+
+
 class TestMultiModeSampling:
     #: Every mode with the same stream lengths.
     SAME = {mode: {BENCH: {"A": 8000, "R": 10000}} for mode in CAMPAIGN_MODES}
@@ -566,13 +600,6 @@ class TestFaultCLI:
         assert "coverage" in captured
         assert "ECC corrections" in captured
 
-    def test_cli_rejects_unknown_site(self, fresh_caches):
-        from repro.fault.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["--benchmarks", BENCH, "--sites", "nonsense",
-                  "--bench-out", "-"])
-
     @pytest.mark.parametrize("flag", [
         ["--scale", "0"],
         ["--points", "0"],
@@ -588,6 +615,28 @@ class TestFaultCLI:
             main(["--benchmarks", BENCH, "--bench-out", "-", *flag])
         assert excinfo.value.code == 2
         assert "must be" in capsys.readouterr().err
+        assert jobs.simulation_count() == 0
+
+    @pytest.mark.parametrize("flag,message", [
+        (["--sites", "nonsense"], "unknown fault site 'nonsense'"),
+        (["--sites", "r_arch", "bogus"], "unknown fault site 'bogus'"),
+        (["--modes", "bogus"], "unknown redundancy mode(s) ['bogus']"),
+        (["--modes", "slipstream,quintuple"],
+         "unknown redundancy mode(s) ['quintuple']"),
+        (["--modes", ","], "unknown redundancy mode(s) [',']"),
+    ])
+    def test_cli_rejects_bad_name_with_usage_error(self, fresh_caches,
+                                                   capsys, flag, message):
+        """Exit status 1 means "the campaign had failed points"; a bad
+        site or mode name is a usage error (2), like a bad number."""
+        from repro.fault.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--benchmarks", BENCH, "--bench-out", "-", *flag])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert message in err
         assert jobs.simulation_count() == 0
 
     def test_cli_modes_all_prints_frontier(self, fresh_caches, tmp_path,
@@ -613,10 +662,3 @@ class TestFaultCLI:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["modes"] == ["slipstream", "tmr"]
-
-    def test_cli_rejects_unknown_mode(self, fresh_caches):
-        from repro.fault.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["--benchmarks", BENCH, "--modes", "slipstream,quintuple",
-                  "--bench-out", "-"])

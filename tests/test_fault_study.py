@@ -15,7 +15,12 @@ from repro.core.slipstream import SlipstreamProcessor
 from repro.eval import jobs, models
 from repro.eval.experiments import fault_coverage_study
 from repro.eval.jobs import injection_spec
-from repro.fault.coverage import hang_budget, inject_one
+from repro.fault.coverage import (
+    hang_budget,
+    inject_one,
+    reset_timeline_tally,
+    timeline_snapshot,
+)
 from repro.fault.injector import FaultSite, TransientFault
 from repro.workloads.suite import get_benchmark
 
@@ -85,3 +90,16 @@ def test_study_reuses_the_cached_reference(fresh_caches, monkeypatch):
     study = fault_coverage_study(BENCH, points=2, sites=SITES)
     assert len(study.results) == 2 * len(SITES)
     assert runs and all(runs), runs
+
+
+def test_study_points_share_one_clean_timeline(fresh_caches):
+    """Both sites' points are submitted in strike order, so one clean
+    machine from the entry serves all of them; in (site, target) order
+    the second site's first point would be behind it and restart it."""
+    models.run_instruction_count(BENCH)
+    models.run_slipstream_model(BENCH)
+    reset_timeline_tally()
+    study = fault_coverage_study(BENCH, points=POINTS, sites=SITES)
+    tally = timeline_snapshot()
+    assert (tally["starts"], tally["restarts"]) == (1, 0), tally
+    assert tally["forks"] == len(study.results) == POINTS * len(SITES)
