@@ -62,6 +62,11 @@ from repro.core.removal import RemovalKind
 from repro.isa.program import Program
 from repro.trace.selection import TraceSelector
 
+#: Plain-int removal flags: ``&`` on :class:`RemovalKind` members runs
+#: the enum's Python-level operator.
+_WW = int(RemovalKind.WW)
+_PROPAGATED = int(RemovalKind.PROPAGATED)
+
 
 @dataclass(frozen=True)
 class StaticSummary:
@@ -222,12 +227,8 @@ def cross_check(
                     silent_selected += 1
                 if pc in always_pcs or pc in never_pcs:
                     pinned_selected += 1
-            kind = analysis.kinds[i]
-            if (
-                kind & RemovalKind.WW
-                and not kind & RemovalKind.PROPAGATED
-                and pc in must_live
-            ):
+            kind = int(analysis.kinds[i])
+            if kind & _WW and not kind & _PROPAGATED and pc in must_live:
                 contradictions.add(pc)
 
     selector = TraceSelector()

@@ -80,7 +80,7 @@ from repro.uarch.cache import Cache
 from repro.uarch.compiled_timing import timing_meta_for
 from repro.uarch.config import CoreConfig, SS_64x4
 from repro.uarch.latencies import latency_of
-from repro.uarch.scheduler import OoOScheduler
+from repro.uarch.scheduler import ISSUE_COUNT_BOUND, OoOScheduler
 
 #: Fault-injection hook: called for every retired instruction of either
 #: stream.  ``stream`` is "A" or "R"; ``compared`` tells whether the
@@ -668,7 +668,8 @@ class SlipstreamProcessor:
                     self._obs.emit("redirect", seq=self._obs_seq,
                                    stream="A", reason="boundary")
 
-        record, next_pc = self._follow(static, removal, charged)
+        record, next_pc, executed_count = self._follow(static, removal,
+                                                       charged)
         dyns = record.dyns
 
         obs = self._obs
@@ -695,7 +696,6 @@ class SlipstreamProcessor:
         # entry arrives (per-instruction availability comes from each
         # position's ``a_retire``); a backpressured push delays the
         # whole group conservatively.
-        executed_count = len(dyns) - dyns.count(None)
         push_cycle = self.delay_buffer.push(max(executed_count, 1), self._a_last_retire)
         record.pushed = True
         first_retire = next(
@@ -730,9 +730,10 @@ class SlipstreamProcessor:
         static: Optional[_StaticTrace],
         removal: Optional[RemovalPrediction],
         charged: bool,
-    ) -> Tuple[_ATraceRecord, int]:
+    ) -> Tuple[_ATraceRecord, int, int]:
         """Fetch/execute one *canonical* A-stream trace; returns its
-        outcome group and the PC that follows it.
+        outcome group, the PC that follows it and how many of its
+        instructions the A-stream executed (not removed).
 
         The trace always runs to the static selection policy's boundary
         (``trace_length`` instructions, or an indirect jump / halt), so
@@ -838,11 +839,12 @@ class SlipstreamProcessor:
                                    reason="outcome" if predicted else "unpredicted")
             if instr.klass in (InstrClass.JUMP_INDIRECT, InstrClass.HALT):
                 break
-        self.a_executed += a_seq - self._a_seq
+        executed = a_seq - self._a_seq
+        self.a_executed += executed
         self._a_seq = a_seq
         self.a_removed += a_removed
         record.followed_tid = TraceId(start_pc, tuple(record.outcomes))
-        return record, pc
+        return record, pc, executed
 
     def _schedule_a_trace(self, record: _ATraceRecord) -> None:
         """Schedule the A-stream's executed instructions with
@@ -1044,6 +1046,8 @@ class SlipstreamProcessor:
         asc._retire_count = as_retire_count
         asc.retired = as_retired
         asc.redirects = as_redirects
+        if len(as_issue_count) > ISSUE_COUNT_BOUND:
+            asc.trim_issue_counts()
         self._a_last_complete = a_last_complete
         self._a_last_retire = a_last_retire
         aic._stamp = aic_stamp
@@ -1329,6 +1333,8 @@ class SlipstreamProcessor:
         rsc._retire_count = rs_retire_count
         rsc.retired = rs_retired
         rsc.merge_stalls = rs_merge_stalls
+        if len(rs_issue_count) > ISSUE_COUNT_BOUND:
+            rsc.trim_issue_counts()
         ric._stamp = ric_stamp
         ric.accesses += ric_acc
         ric.misses += ric_misses

@@ -39,9 +39,9 @@ from repro.trace.trace_id import TraceId
 from repro.fingerprint import ConfigError, check_lower_bounds
 
 
-#: Largest ``TracePredictorConfig.index_bits``.  The predictor builds
-#: two tables of ``2**index_bits`` slots, so the cap keeps a bad config
-#: from asking for terabytes (20 bits is about a million slots each).
+#: Largest ``TracePredictorConfig.index_bits`` (about a million slots
+#: per table).  The tables are sparse, so the cap bounds the index
+#: space of a config, not the memory a predictor allocates up front.
 MAX_INDEX_BITS = 20
 
 
@@ -111,34 +111,30 @@ class Lookup(NamedTuple):
 
 
 class _Table:
-    """One prediction table with saturating replacement counters."""
+    """One prediction table with saturating replacement counters.
 
-    def __init__(self, size: int, counter_max: int):
-        self._entries: List[Optional[Entry]] = [None] * size
+    Sparse: an index has an entry only once an update trained it, so
+    the table costs memory per trained entry, not per slot."""
+
+    def __init__(self, counter_max: int):
+        self._entries: Dict[int, Entry] = {}
         self._counter_max = counter_max
-        #: Indices holding an entry, in allocation order: a fork copies
-        #: these instead of scanning every slot.
-        self._used: List[int] = []
 
     def fork(self, twins: Dict[Entry, Entry]) -> "_Table":
         """An independent copy; ``twins`` maps each entry to its copy."""
         forked = copy.copy(self)
-        entries = forked._entries = list(self._entries)
-        forked._used = list(self._used)
-        for index in self._used:
-            entry = entries[index]
+        entries = forked._entries = {}
+        for index, entry in self._entries.items():
             twins[entry] = entries[index] = entry.copy()
         return forked
 
     def lookup(self, index: int) -> Optional[Entry]:
-        return self._entries[index]
+        return self._entries.get(index)
 
     def update(self, index: int, actual: TraceId) -> Entry:
-        entry = self._entries[index]
+        entry = self._entries.get(index)
         if entry is None:
-            entry = Entry()
-            self._entries[index] = entry
-            self._used.append(index)
+            entry = self._entries[index] = Entry()
         if entry.trace_id == actual:
             entry.counter = min(entry.counter + 1, self._counter_max)
         else:
@@ -154,9 +150,8 @@ class TracePredictor:
 
     def __init__(self, config: Optional[TracePredictorConfig] = None):
         self.config = config or TracePredictorConfig()
-        size = self.config.table_size
-        self._correlated = _Table(size, self.config.counter_max)
-        self._simple = _Table(size, self.config.counter_max)
+        self._correlated = _Table(self.config.counter_max)
+        self._simple = _Table(self.config.counter_max)
         self._history: Deque[TraceId] = deque(maxlen=self.config.path_depth)
         #: ``mix()`` of each history id, computed once as it enters.
         self._digests: Deque[int] = deque(maxlen=self.config.path_depth)

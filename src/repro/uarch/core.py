@@ -32,7 +32,7 @@ from repro.uarch.compiled_timing import (
 from repro.uarch.config import CoreConfig
 from repro.uarch.fetch import BlockFormer
 from repro.uarch.latencies import latency_of
-from repro.uarch.scheduler import InstrTiming, OoOScheduler
+from repro.uarch.scheduler import ISSUE_COUNT_BOUND, InstrTiming, OoOScheduler
 
 
 @dataclass
@@ -240,15 +240,17 @@ class SuperscalarCore:
                 former._pending_break = pending
                 former.blocks += new_blocks
                 self._last_complete = last_c
-            return
-        sched_add = self.scheduler.add
-        timing_of = self._timing_of
-        for index, dyn in enumerate(trace.instructions):
-            ts = sched_add(timing_of(dyn))
-            self._last_complete = ts.complete
-            if index == outcome_index:
-                self.scheduler.redirect(ts.complete)
-                self._former.force_break()
+        else:
+            sched_add = self.scheduler.add
+            timing_of = self._timing_of
+            for index, dyn in enumerate(trace.instructions):
+                ts = sched_add(timing_of(dyn))
+                self._last_complete = ts.complete
+                if index == outcome_index:
+                    self.scheduler.redirect(ts.complete)
+                    self._former.force_break()
+        if len(self.scheduler._issue_count) > ISSUE_COUNT_BOUND:
+            self.scheduler.trim_issue_counts()
 
     def _timing_of(self, dyn: DynInstr) -> InstrTiming:
         instr = dyn.instr

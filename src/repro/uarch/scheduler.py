@@ -33,6 +33,12 @@ from repro.isa.instructions import REG_COUNT
 from repro.uarch.config import CoreConfig
 
 
+#: Issue-count table size above which the per-trace scheduling loops call
+#: :meth:`OoOScheduler.trim_issue_counts` (once per trace): the table
+#: then holds at most about this many cycles, whatever the run length.
+ISSUE_COUNT_BOUND = 4096
+
+
 class Timestamps(NamedTuple):
     """Pipeline timestamps of one dynamic instruction."""
 
@@ -136,7 +142,9 @@ class OoOScheduler:
         self._cur_block_fetch = 0
         # Dispatch is in order, hence monotone non-decreasing: slot
         # occupancy needs only the current cycle's count, not a dict
-        # keyed by cycle (issue is out of order and keeps the dict).
+        # keyed by cycle.  Issue is out of order and keeps a dict, but
+        # only cycles at or after the last dispatch are ever read
+        # again (trim_issue_counts drops the rest).
         self._last_dispatch = 0
         self._dispatch_used = 0
         self._merge_cycle = 0
@@ -163,11 +171,8 @@ class OoOScheduler:
 
     def fork(self) -> "OoOScheduler":
         """An independent copy: scalars by value, the per-register,
-        per-address, ROB and per-cycle containers copied.
-
-        Only the live issue cycles are copied: every later instruction
-        dispatches at or after ``_last_dispatch`` and issues at or after
-        its dispatch, so a count below that cycle is never read again.
+        per-address and ROB containers copied, and the issue counts
+        trimmed (:meth:`trim_issue_counts` builds the fork a new dict).
         """
         cls = type(self)
         forked = cls.__new__(cls)
@@ -176,12 +181,24 @@ class OoOScheduler:
         forked._reg_ready = list(self._reg_ready)
         forked._store_ready = dict(self._store_ready)
         forked._rob_retire = deque(self._rob_retire)
+        forked.trim_issue_counts()
+        return forked
+
+    def trim_issue_counts(self) -> None:
+        """Replace the issue counts with a new dict of the live cycles.
+
+        Every later instruction dispatches at or after
+        ``_last_dispatch`` and issues at or after its dispatch, so a
+        count below that cycle is never read again.  The dict is
+        rebuilt rather than edited, since deleting keys does not shrink
+        a dict; so call this between traces, never while a fused loop
+        holds the old dict in a local.
+        """
         floor = self._last_dispatch
-        forked._issue_count = {
+        self._issue_count = {
             cycle: count for cycle, count in self._issue_count.items()
             if cycle >= floor
         }
-        return forked
 
     # ------------------------------------------------------------------
     # External timing events.

@@ -297,8 +297,8 @@ class TestFork:
         # Aliasing inside the copied components follows the originals':
         # queued path updates point at the copy's own table entries.
         tables = fork.ir_predictor.trace_predictor
-        entries = {id(e) for e in tables._correlated._entries if e is not None}
-        entries |= {id(e) for e in tables._simple._entries if e is not None}
+        entries = {id(e) for e in tables._correlated._entries.values()}
+        entries |= {id(e) for e in tables._simple._entries.values()}
         for _tid, correlated, simple in fork.ir_predictor._pending:
             assert id(correlated) in entries and id(simple) in entries
         owners = {id(t) for t in fork.detector._scope}

@@ -161,3 +161,26 @@ class TestIndexMemo:
             assert memo._index_pair() == reference_indices(memo)
         assert (memo.lookups, memo.correlated_hits) == \
             (fresh.lookups, fresh.correlated_hits)
+
+
+class TestTableFork:
+    def test_fork_copies_only_the_allocated_entries(self):
+        """A fork holds an entry exactly where the source has one, each
+        a fresh copy in the same state, mapped in ``twins``."""
+        pred = TracePredictor()
+        for n in (0, 1, 2, 1, 3, 0, 4):
+            pred.update(tid(n))
+        twins = {}
+        forked = pred.fork(twins)
+        for source, copy in ((pred._correlated, forked._correlated),
+                             (pred._simple, forked._simple)):
+            assert source._entries
+            assert copy._entries is not source._entries
+            assert list(copy._entries) == list(source._entries)
+            for index, entry in source._entries.items():
+                twin = copy._entries[index]
+                assert twin is not entry and twins[entry] is twin
+                assert _entry_state(twin) == _entry_state(entry)
+        assert len(twins) == (len(pred._correlated._entries)
+                              + len(pred._simple._entries))
+

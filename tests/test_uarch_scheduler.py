@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.uarch.config import CoreConfig
-from repro.uarch.scheduler import InstrTiming, OoOScheduler
+from repro.core.slipstream import SlipstreamProcessor
+from repro.uarch.compiled_timing import TIMING_ENV
+from repro.uarch.config import SS_64x4, CoreConfig
+from repro.uarch.core import SuperscalarCore
+from repro.uarch.scheduler import ISSUE_COUNT_BOUND, InstrTiming, OoOScheduler
+from repro.workloads.suite import get_benchmark
 
 
 def alu(new_block=False, srcs=(), dest=None, latency=1, **kw):
@@ -216,3 +220,43 @@ class TestFork:
                 for i in range(200)]
         assert [forked.add(t) for t in tail] == [sched.add(t) for t in tail]
         assert forked.total_cycles == sched.total_cycles
+
+
+class TestTrimIssueCounts:
+    def test_trim_keeps_live_cycles_in_a_new_dict(self):
+        sched = OoOScheduler(small_config())
+        for i in range(300):
+            sched.add(alu(new_block=(i % 4 == 0), srcs=((i % 5) + 1,),
+                          dest=(i % 7) + 1, latency=1 + (i % 3) * 4))
+        before = sched._issue_count
+        live = {c: n for c, n in before.items() if c >= sched._last_dispatch}
+        assert len(live) < len(before)
+        sched.trim_issue_counts()
+        assert sched._issue_count == live
+        assert sched._issue_count is not before
+
+
+class TestWindowSizedState:
+    """Full runs keep each scheduler's issue-count table at most
+    ``ISSUE_COUNT_BOUND`` cycles long: the per-trace loops trim it."""
+
+    @pytest.fixture(scope="class")
+    def jpeg(self):
+        return get_benchmark("jpeg").program(1)
+
+    def test_slipstream_schedulers_stay_bounded(self, jpeg):
+        proc = SlipstreamProcessor(jpeg)
+        proc.run()
+        assert proc.r_sched.total_cycles > 2 * ISSUE_COUNT_BOUND
+        for sched in (proc.a_sched, proc.r_sched):
+            assert 0 < len(sched._issue_count) <= ISSUE_COUNT_BOUND
+
+    @pytest.mark.parametrize("flag", ["1", "0"])
+    def test_superscalar_scheduler_stays_bounded(self, jpeg, flag,
+                                                 monkeypatch):
+        monkeypatch.setenv(TIMING_ENV, flag)
+        core = SuperscalarCore(SS_64x4, jpeg)
+        core.run()
+        sched = core.scheduler
+        assert sched.total_cycles > 2 * ISSUE_COUNT_BOUND
+        assert 0 < len(sched._issue_count) <= ISSUE_COUNT_BOUND
