@@ -39,6 +39,9 @@ and ``producers``/``consumers`` index lists that exist only for nodes
 with an edge.  Edges connect a consumer to its producer *within the
 same trace only*; reading a value produced in another trace marks that
 producer ``external_ref``, which disqualifies it from back-propagation.
+Only a trace's own merge writes its ``pcs``, ``touched``,
+``removable``, ``producers`` and ``consumers``, so the merge freezes
+them into tuples and a fork (:meth:`IRDetector.fork`) shares them.
 
 The operand rename table is a dict from operand to a mutable entry
 ``[value, owner, index, ref, last_write_seq]``: the value last written,
@@ -64,7 +67,8 @@ from __future__ import annotations
 import copy
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (Deque, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.core.removal import RemovalKind
 from repro.isa.instructions import InstrClass, Instruction
@@ -115,36 +119,57 @@ class TraceAnalysis:
 
 
 class _ScopedTrace:
-    """One trace in the scope: its R-DFG as parallel per-position lists."""
+    """One trace in the scope: its R-DFG as parallel per-position lists.
+
+    Only the merge of the trace itself (:meth:`IRDetector.feed_trace`)
+    writes ``pcs``, ``touched``, ``removable``, ``producers`` and
+    ``consumers``; it freezes them into tuples when it ends.  Later
+    traces write only ``kind``, ``killed`` and ``external_ref``, so a
+    copy taken between traces shares the frozen columns."""
 
     __slots__ = ("seq", "trace_id", "pcs", "touched", "kind", "killed",
                  "external_ref", "removable", "producers", "consumers")
 
-    def __init__(self, seq: int, trace_id: TraceId, n: int):
+    def __init__(self, seq: int, trace_id: TraceId, pcs: List[int],
+                 touched: List[int], removable: List[bool],
+                 producers: List[Optional[List[int]]],
+                 consumers: List[Optional[List[int]]]):
+        """The merge passes in the static columns it fills."""
+        n = len(removable)
         self.seq = seq
         self.trace_id = trace_id
-        self.pcs: List[int] = []
+        self.pcs: Sequence[int] = pcs
         #: Operands this trace wrote (rename-table invalidation at retire).
-        self.touched: List[int] = []
+        self.touched: Sequence[int] = touched
         self.kind: List[int] = [0] * n
         self.killed: List[bool] = [False] * n
         self.external_ref: List[bool] = [False] * n
-        self.removable: List[bool] = [True] * n
-        self.producers: List[Optional[List[int]]] = [None] * n
-        self.consumers: List[Optional[List[int]]] = [None] * n
+        self.removable: Sequence[bool] = removable
+        self.producers: Sequence[Optional[List[int]]] = producers
+        self.consumers: Sequence[Optional[List[int]]] = consumers
+
+    def freeze(self) -> None:
+        """End of the trace's merge: its static columns are final."""
+        self.pcs = tuple(self.pcs)
+        self.touched = tuple(self.touched)
+        self.removable = tuple(self.removable)
+        self.producers = tuple(self.producers)
+        self.consumers = tuple(self.consumers)
 
     def copy(self) -> "_ScopedTrace":
+        """A copy of a frozen trace: the mutable columns are copied,
+        the frozen ones shared."""
         twin = _ScopedTrace.__new__(_ScopedTrace)
         twin.seq = self.seq
         twin.trace_id = self.trace_id
-        twin.pcs = self.pcs[:]
-        twin.touched = self.touched[:]
+        twin.pcs = self.pcs
+        twin.touched = self.touched
         twin.kind = self.kind[:]
         twin.killed = self.killed[:]
         twin.external_ref = self.external_ref[:]
-        twin.removable = self.removable[:]
-        twin.producers = [p if p is None else p[:] for p in self.producers]
-        twin.consumers = [c if c is None else c[:] for c in self.consumers]
+        twin.removable = self.removable
+        twin.producers = self.producers
+        twin.consumers = self.consumers
         return twin
 
 
@@ -215,7 +240,9 @@ class IRDetector:
         self._sv_trigger = "SV" in self.triggers
 
     def fork(self) -> "IRDetector":
-        """An independent copy of the scope and the rename table.
+        """An independent copy of the scope and the rename table, taken
+        between two traces (the copies share the traces' frozen
+        columns).
 
         A rename-table entry may name a producer trace that has already
         left the scope; it is copied too, so the copy's entries point
@@ -260,15 +287,19 @@ class IRDetector:
         seq = self._next_seq
         self._next_seq += 1
         instructions = trace.instructions
-        cur = _ScopedTrace(seq, trace.trace_id, len(instructions))
+        n = len(instructions)
+        pcs: List[int] = []
+        touched: List[int] = []
+        removable = [True] * n
+        producers: List[Optional[List[int]]] = [None] * n
+        consumers: List[Optional[List[int]]] = [None] * n
+        cur = _ScopedTrace(seq, trace.trace_id, pcs, touched, removable,
+                           producers, consumers)
         self._scope.append(cur)
-        pcs_append = cur.pcs.append
-        touched_append = cur.touched.append
+        pcs_append = pcs.append
+        touched_append = touched.append
         kind = cur.kind
         killed = cur.killed
-        removable = cur.removable
-        producers = cur.producers
-        consumers = cur.consumers
         entries = self._entries
         entries_get = entries.get
         operands_get = self._operands.get
@@ -373,6 +404,7 @@ class IRDetector:
                         if cons is not None and owner_kind[cons[-1]]:
                             propagate(owner, [p])
             touched_append(operand)
+        cur.freeze()
         retired: List[TraceAnalysis] = []
         while len(self._scope) > self.scope_traces:
             retired.append(self._retire_oldest())

@@ -60,7 +60,7 @@ after the repairing vote, or at once when the strike wrote nothing):
 replicas 1..N-1 are never struck and a repair writes only the
 minority, so every later vote would be unanimous on the fault-free
 path.  Results are bit-identical to offering the hook every
-retirement; DESIGN.md §7.12 states the rules.
+retirement; DESIGN.md §7.13 states the rules.
 A run that stops because the program traps names the trap in its
 ``SimulationError``.
 """

@@ -76,7 +76,7 @@ from repro.trace.selection import (
     trace_id_of,
 )
 from repro.trace.trace_id import TraceId
-from repro.uarch.cache import Cache
+from repro.uarch.cache import UNTOUCHED, Cache
 from repro.uarch.compiled_timing import timing_meta_for
 from repro.uarch.config import CoreConfig, SS_64x4
 from repro.uarch.latencies import latency_of
@@ -422,7 +422,8 @@ class SlipstreamProcessor:
         self._pending_vec_checks: Dict[int, List[bool]] = {}
         #: per fed trace, whether each instruction's branch outcome
         #: matched the A-stream's prediction (FIFO aligned with the
-        #: detector's analyses; trains the per-instruction mechanism).
+        #: detector's analyses; trains the per-instruction mechanism,
+        #: so it is queued only under ``removal_mechanism="pc"``).
         self._pending_branch_ok: List[List[bool]] = []
         self._detector_seq = 0
         #: Co-simulation iteration index, used only to tag trace events.
@@ -897,6 +898,7 @@ class SlipstreamProcessor:
         a_last_retire = self._a_last_retire
         # Cache probes inlined as in _r_phase; counters written back
         # after the loop.
+        untouched = UNTOUCHED
         aic = self.a_icache
         aic_sets, aic_lb = aic._sets, aic._line_bytes
         aic_ns, aic_assoc = aic._num_sets, aic._assoc
@@ -927,7 +929,9 @@ class SlipstreamProcessor:
                     cset[line] = aic_stamp
                 else:
                     aic_misses += 1
-                    if len(cset) >= aic_assoc:
+                    if cset is untouched:
+                        cset = aic_sets[line % aic_ns] = {}
+                    elif len(cset) >= aic_assoc:
                         del cset[min(cset, key=cset.get)]
                     cset[line] = aic_stamp
                     icache_penalty = icache_miss
@@ -948,7 +952,9 @@ class SlipstreamProcessor:
                         cset[line] = adc_stamp
                     else:
                         adc_misses += 1
-                        if len(cset) >= adc_assoc:
+                        if cset is untouched:
+                            cset = adc_sets[line % adc_ns] = {}
+                        elif len(cset) >= adc_assoc:
                             del cset[min(cset, key=cset.get)]
                         cset[line] = adc_stamp
                         dcache_penalty = dcache_miss
@@ -994,9 +1000,11 @@ class SlipstreamProcessor:
                     as_dispatch_used = 1
                 # Issue: width-limited slot search.
                 issue = dispatch if dispatch > ready else ready
-                while as_issue_get(issue, 0) >= as_issue_width:
+                used = as_issue_get(issue, 0)
+                while used >= as_issue_width:
                     issue += 1
-                as_issue_count[issue] = as_issue_get(issue, 0) + 1
+                    used = as_issue_get(issue, 0)
+                as_issue_count[issue] = used + 1
                 # Complete.
                 complete = issue + latency
                 if is_load:
@@ -1066,7 +1074,6 @@ class SlipstreamProcessor:
         self.r_sched.stall_fetch_until(available)
 
         executed: List[DynInstr] = []
-        branch_ok: List[bool] = []
         deviation: Optional[Tuple[str, int]] = None  # (kind, detect_cycle)
         last_complete = self.r_sched.total_cycles
 
@@ -1118,6 +1125,7 @@ class SlipstreamProcessor:
         # Cache probes are inlined below (same hit/miss/LRU logic as
         # Cache.probe); counters accumulate in locals and are written
         # back right after the loop.
+        untouched = UNTOUCHED
         ric = self.r_icache
         ric_sets, ric_lb = ric._sets, ric._line_bytes
         ric_ns, ric_assoc = ric._num_sets, ric._assoc
@@ -1136,7 +1144,6 @@ class SlipstreamProcessor:
         recovery = self.recovery
         detector_seq = self._detector_seq
         executed_append = executed.append
-        branch_ok_append = branch_ok.append
 
         for step_pc, a_dyn, pred_taken, a_retire in zip(
                 record.pcs, record.dyns, record.pred_taken, record.a_retire):
@@ -1176,7 +1183,9 @@ class SlipstreamProcessor:
                 cset[line] = ric_stamp
             else:
                 ric_misses += 1
-                if len(cset) >= ric_assoc:
+                if cset is untouched:
+                    cset = ric_sets[line % ric_ns] = {}
+                elif len(cset) >= ric_assoc:
                     del cset[min(cset, key=cset.get)]
                 cset[line] = ric_stamp
                 icache_penalty = icache_miss
@@ -1200,7 +1209,9 @@ class SlipstreamProcessor:
                     cset[line] = rdc_stamp
                 else:
                     rdc_misses += 1
-                    if len(cset) >= rdc_assoc:
+                    if cset is untouched:
+                        cset = rdc_sets[line % rdc_ns] = {}
+                    elif len(cset) >= rdc_assoc:
                         del cset[min(cset, key=cset.get)]
                     cset[line] = rdc_stamp
                     dcache_penalty = dcache_miss
@@ -1267,9 +1278,11 @@ class SlipstreamProcessor:
                 rs_dispatch_used = 1
             # Issue: width-limited slot search.
             issue = dispatch if dispatch > ready else ready
-            while rs_issue_get(issue, 0) >= rs_issue_width:
+            used = rs_issue_get(issue, 0)
+            while used >= rs_issue_width:
                 issue += 1
-            rs_issue_count[issue] = rs_issue_get(issue, 0) + 1
+                used = rs_issue_get(issue, 0)
+            rs_issue_count[issue] = used + 1
             # Complete.
             complete = issue + latency
             if is_load:
@@ -1294,7 +1307,6 @@ class SlipstreamProcessor:
             # --- end inlined scheduler ---
             last_complete = complete
             executed_append(dyn)
-            branch_ok_append(not is_branch or taken == pred_taken)
 
             if a_dyn is not None:
                 # Redundant-instruction comparison, inlined _mismatch.
@@ -1341,19 +1353,25 @@ class SlipstreamProcessor:
         rdc._stamp = rdc_stamp
         rdc.accesses += rdc_acc
         rdc.misses += rdc_misses
-        self._r_finish(record, executed, branch_ok, deviation, last_complete)
+        self._r_finish(record, executed, None, deviation, last_complete)
 
     def _r_finish(
         self,
         record: _ATraceRecord,
         executed: List[DynInstr],
-        branch_ok: List[bool],
+        branch_ok: Optional[List[bool]],
         deviation: Optional[Tuple[str, int]],
         last_complete: int,
     ) -> None:
         """Post-schedule R-phase tail: detector feeding, predictor
         training, ir-vec bookkeeping, deviation resolution and
-        recovery."""
+        recovery.
+
+        ``branch_ok`` says per retired instruction whether its branch
+        outcome matched the A-stream's prediction; only the ``pc``
+        removal mechanism reads it, and when it is None it is derived
+        from ``executed`` (the records after the fault hook) and the
+        followed path's predictions."""
         # Feed the IR-detector with what the R-stream actually retired,
         # train the IR-predictor, and verify outstanding ir-vecs.
         if executed:
@@ -1378,7 +1396,13 @@ class SlipstreamProcessor:
                 ]
             analyses = self.detector.feed_trace(CompletedTrace(executed, actual_tid))
             self._detector_seq += 1
-            self._pending_branch_ok.append(branch_ok)
+            if self.config.removal_mechanism == "pc":
+                if branch_ok is None:
+                    branch_ok = [
+                        not d.instr.is_branch or d.taken == taken
+                        for d, taken in zip(executed, record.pred_taken)
+                    ]
+                self._pending_branch_ok.append(branch_ok)
             for analysis in analyses:
                 if self._handle_analysis(analysis) and deviation is None:
                     deviation = ("ir_detector", last_complete)
@@ -1415,8 +1439,8 @@ class SlipstreamProcessor:
         says was not removable this time.
         """
         self.ir_predictor.train_removal(analysis)
-        oks = self._pending_branch_ok.pop(0) if self._pending_branch_ok else []
         if self.config.removal_mechanism == "pc":
+            oks = self._pending_branch_ok.pop(0) if self._pending_branch_ok else []
             for pc, selected, kind, ok in zip(
                 analysis.pcs, analysis.ir_vec, analysis.kinds,
                 oks or [True] * len(analysis.pcs),

@@ -48,7 +48,12 @@ from repro.arch.functional import FunctionalSimulator
 from repro.core.modes import CAMPAIGN_MODES, decorrelated_config
 from repro.core.slipstream import SlipstreamConfig, SlipstreamProcessor
 from repro.eval.resilience import JobTimeout
-from repro.fault.coverage import hang_budget, inject_one, inject_one_nstream
+from repro.fault.coverage import (
+    clean_timeline,
+    hang_budget,
+    inject_one,
+    inject_one_nstream,
+)
 from repro.fault.injector import FaultSite, TransientFault
 from repro.fingerprint import canonical, fingerprint
 from repro.obs import RunReport, build_report, job_observability
@@ -266,7 +271,13 @@ def simulate(spec: JobSpec, obs: Optional[Observability] = None):
         return SuperscalarCore(SS_128x8, program, obs=obs).run()
     if model == "cmp":
         program = benchmark_program(key.benchmark, key.scale)
-        return SlipstreamProcessor(program, spec.config, obs=obs).run()
+        if obs is not None:
+            return SlipstreamProcessor(program, spec.config, obs=obs).run()
+        # The fault-free run leaves its clean timeline's checkpoints
+        # behind: the struck runs of a campaign on this program and
+        # config fork from them instead of re-simulating the prefix.
+        config = spec.config or SlipstreamConfig()
+        return clean_timeline(program, config).clean_result(config)
     if model == "finj":
         return _simulate_injection(spec)
     if model == "nref":

@@ -129,6 +129,22 @@ class RunnerStats:
     wall_seconds: float = 0.0
     records: List[JobRecord] = field(default_factory=list)
 
+    def fold(self, other: "RunnerStats") -> None:
+        """Add ``other``, a later pass of the same runner, to this one:
+        counts, wall seconds and records add up, ``workers`` is the
+        larger of the two."""
+        self.workers = max(self.workers, other.workers)
+        self.requested += other.requested
+        self.deduplicated += other.deduplicated
+        self.simulated += other.simulated
+        self.disk_hits += other.disk_hits
+        self.memory_hits += other.memory_hits
+        self.failed += other.failed
+        self.timeouts += other.timeouts
+        self.pool_rebuilds += other.pool_rebuilds
+        self.wall_seconds += other.wall_seconds
+        self.records.extend(other.records)
+
     @property
     def reports(self) -> List[RunReport]:
         """Every job's :class:`~repro.obs.RunReport`, when observability

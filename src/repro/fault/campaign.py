@@ -38,7 +38,7 @@ the voter claims strikes before any ECC scrub, so TMR campaigns report
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -474,36 +474,6 @@ def campaign_specs(points: Sequence[CampaignPoint], scale: int = 1,
     ]
 
 
-def _reference_specs(config: CampaignConfig) -> List["JobSpec"]:
-    """Fault-free reference jobs for every (mode, benchmark) pair; an
-    N-stream reference reads the ss64 baseline, which goes first."""
-    from repro.eval.jobs import baseline_spec, reference_spec
-
-    specs: List["JobSpec"] = []
-    for mode in config.modes:
-        for benchmark in config.benchmarks:
-            if mode in ("tmr", "replay"):
-                specs.append(baseline_spec(benchmark, config.scale))
-            specs.append(reference_spec(benchmark, mode, config.scale))
-    return specs
-
-
-def _references(config: CampaignConfig) -> Dict[str, Dict[str, Any]]:
-    """``{mode: {benchmark: fault-free reference result}}``, read
-    through the caches."""
-    from repro.eval import models
-    from repro.eval.jobs import reference_spec
-
-    return {
-        mode: {
-            benchmark: models.run_cached(
-                reference_spec(benchmark, mode, config.scale))
-            for benchmark in config.benchmarks
-        }
-        for mode in config.modes
-    }
-
-
 def mode_stream_lengths(
     references: Dict[str, Dict[str, Any]],
 ) -> Dict[str, Dict[str, Dict[str, int]]]:
@@ -545,6 +515,15 @@ def strike_order(
     return sorted(range(len(points)), key=progress)
 
 
+def _needs_baseline(config: CampaignConfig) -> bool:
+    """Whether the campaign reads the ss64 baselines: the N-stream
+    references are anchored to them, and a multi-mode frontier divides
+    by their IPC."""
+    return len(config.modes) > 1 or any(
+        mode in ("tmr", "replay") for mode in config.modes
+    )
+
+
 def _mode_throughput(
     config: CampaignConfig,
     references: Dict[str, Dict[str, Any]],
@@ -557,11 +536,7 @@ def _mode_throughput(
         for mode, table in references.items()
     }
     baseline = None
-    if len(config.modes) > 1 or any(
-        mode in ("tmr", "replay") for mode in config.modes
-    ):
-        # The n-stream references already forced the ss64 baselines
-        # into the cache, so for tmr/replay this adds no simulation.
+    if _needs_baseline(config):
         baseline = _geomean([
             models.run_baseline(benchmark, config.scale).ipc
             for benchmark in config.benchmarks
@@ -577,44 +552,74 @@ def run_scaled_campaign(
 ) -> Tuple[ScaledCampaignResult, "RunnerStats"]:
     """Run one scaled campaign through the experiment runner.
 
-    Two runner passes: first the fault-free reference runs per (mode,
-    benchmark) pair — one slipstream/decorrelated co-simulation or one
-    baseline + N-stream reference, also the source of the stream
-    lengths the sampler needs — then every sampled strike point as a
-    ``finj`` job.  Both passes absorb into the persistent cache, so an
-    interrupted campaign resumes where it stopped and a repeated one is
-    pure cache hits.  A failing point does not sink the campaign: the
-    runner's casualties land in ``failed_points`` and the aggregation
-    covers what completed.
+    The ss64 baselines run first when the campaign reads them (see
+    :func:`_needs_baseline`).  Then each mode, in ``config.modes``
+    order, runs one round of two runner passes: its fault-free
+    reference runs, one per benchmark (a slipstream or decorrelated
+    co-simulation, or an N-stream reference), which give the stream
+    lengths its points are sampled against; then its strike points as
+    ``finj`` jobs, in :func:`strike_order`.  The round ends by
+    releasing the process's clean timeline.  Run inline, a slipstream
+    reference leaves the timeline's checkpoints behind
+    (:class:`repro.fault.coverage.CleanTimeline`), and the round's
+    struck runs fork from them, so only one config's checkpoints are
+    alive at a time.  Each (mode, benchmark) pair samples from its own
+    RNG stream, so the points are those :func:`sample_points` gives for
+    the whole config.
 
-    Returns ``(result, stats)`` where ``stats`` is the injection pass's
-    :class:`~repro.eval.runner.RunnerStats` (reference-pass timing is
-    not included; with a warm cache it is pure hits anyway).
+    Every pass absorbs into the persistent cache, so an interrupted
+    campaign resumes where it stopped and a repeated one is pure cache
+    hits.  A failing point does not sink the campaign: the runner's
+    casualties land in ``failed_points`` and the aggregation covers
+    what completed.
+
+    Returns ``(result, stats)`` where ``stats`` folds the strike
+    passes' :class:`~repro.eval.runner.RunnerStats` (the baseline and
+    reference passes are not included; with a warm cache they are pure
+    hits anyway).
     """
     from repro.eval import models
-    from repro.eval.jobs import job_label
+    from repro.eval.jobs import baseline_spec, job_label, reference_spec
     from repro.eval.runner import ExperimentRunner, RunnerError
 
     runner = ExperimentRunner(jobs=jobs, use_disk_cache=use_disk_cache,
                               timeout=timeout)
+    if _needs_baseline(config):
+        runner.run([baseline_spec(benchmark, config.scale)
+                    for benchmark in config.benchmarks])
 
-    # Pass 1: fault-free references (stream lengths + reference outputs).
-    runner.run(_reference_specs(config))
-    references = _references(config)
-    lengths = mode_stream_lengths(references)
-
-    points = sample_points(config, lengths)
-    specs = campaign_specs(points, config.scale, config.ecc)
-
-    # Pass 2: the strike points, fanned through the runner in
-    # strike_order; results are read back in sampling order below.
-    try:
-        stats = runner.run([specs[index]
-                            for index in strike_order(points, lengths)])
-    except RunnerError as error:
-        stats = error.stats
-    finally:
-        release_timeline()
+    references: Dict[str, Dict[str, Any]] = {}
+    points: List[CampaignPoint] = []
+    specs: List["JobSpec"] = []
+    stats: Optional["RunnerStats"] = None
+    for mode in config.modes:
+        try:
+            reference_jobs = [reference_spec(benchmark, mode, config.scale)
+                              for benchmark in config.benchmarks]
+            runner.run(reference_jobs)
+            references[mode] = {
+                benchmark: models.run_cached(job)
+                for benchmark, job in zip(config.benchmarks, reference_jobs)
+            }
+            lengths = mode_stream_lengths({mode: references[mode]})
+            mode_points = sample_points(replace(config, modes=(mode,)),
+                                        lengths)
+            mode_specs = campaign_specs(mode_points, config.scale, config.ecc)
+            try:
+                mode_stats = runner.run([
+                    mode_specs[index]
+                    for index in strike_order(mode_points, lengths)])
+            except RunnerError as error:
+                mode_stats = error.stats
+        finally:
+            release_timeline()
+        points.extend(mode_points)
+        specs.extend(mode_specs)
+        if stats is None:
+            stats = mode_stats
+        else:
+            stats.fold(mode_stats)
+    assert stats is not None  # CampaignConfig requires a mode
 
     result = ScaledCampaignResult(config=config, points=points)
     for point, spec in zip(points, specs):

@@ -228,31 +228,48 @@ def hang_budget(reference_retired: int) -> int:
     return 4 * reference_retired + 10_000
 
 
+#: Clean machines a :class:`CleanTimeline` keeps at most (its
+#: checkpoints).  Six keep each struck run's clean stepping within
+#: about a sixth of the run, at the memory of six forks (0.4 MiB on
+#: jpeg).
+CHECKPOINTS = 6
+
+
 class CleanTimeline:
-    """One live fault-free slipstream machine, forked for struck runs.
+    """Fault-free slipstream machines at trace boundaries, forked for
+    struck runs.
 
     A struck run is the clean run up to the strike: until then the
     injector hands every record back untouched and changes nothing, and
     ``max_instructions`` only enters the limit check, which the clean
     prefix never trips.  So instead of re-simulating that prefix, a
-    struck run starts from a :meth:`SlipstreamProcessor.fork` of a live
-    clean machine stopped at a trace boundary before the strike.
+    struck run starts from a clean machine stopped at a trace boundary
+    before the strike.
 
-    Fork-boundary rule: one :meth:`~SlipstreamProcessor.step` executes
-    at most ``trace_length`` instructions per stream, so the live
-    machine steps while the struck stream's next seq plus
-    ``trace_length`` is still at most the target seq; then no
-    instruction at or past the target has run.  Requests served in
-    ascending target order share one machine; a request behind it
-    (its target already executed) restarts the machine from the
-    program's entry.  The machine advances under the request's config,
-    so a request whose limit the prefix overruns raises where a
-    from-scratch run would.
+    :meth:`clean_result` runs the fault-free run from the program's
+    entry and leaves at most :data:`CHECKPOINTS` forks of it behind
+    ("checkpoints"), spaced nearly evenly over the run without knowing
+    its length (a functional run to learn it would cost about 3% of a
+    slipstream run): a new checkpoint is due once the steps since the
+    last one reach a :data:`CHECKPOINTS`-th of the steps so far, and
+    when every place is taken, the checkpoint whose two neighbours are
+    closest together makes room for it.
 
-    The machine handed out is the live one itself, and a fork of it
-    becomes the new live machine: the two are interchangeable.  Any
-    exception while advancing (an inline job timeout can fire
-    mid-trace) drops the live machine.
+    :meth:`fork_before` serves a struck run from the latest checkpoint
+    that has not yet executed the target (the program's entry when
+    every checkpoint has).  Fork-boundary rule: one
+    :meth:`~SlipstreamProcessor.step` executes at most ``trace_length``
+    instructions per stream, so the machine steps while the struck
+    stream's next seq plus ``trace_length`` is still at most the target
+    seq; then no instruction at or past the target has run.  The
+    machine steps under the request's config, so a request whose limit
+    the prefix overruns raises where a from-scratch run would.  The
+    machine handed out is the checkpoint itself, and a fork of it takes
+    its place (a machine started from the entry takes a free place, if
+    there is one), so requests served in ascending target order step
+    each stretch of the clean run once.  Any exception while stepping
+    (an inline job timeout can fire mid-trace) drops only the machine
+    that was stepping.
     """
 
     def __init__(self, program: Program, config: SlipstreamConfig, engine: str):
@@ -260,16 +277,41 @@ class CleanTimeline:
         #: ``config`` with ``max_instructions`` normalised: the key.
         self.config = _timeline_config(config)
         self.engine = engine
-        self._live: Optional[SlipstreamProcessor] = None
+        #: Clean machines between two traces, in run order (each is
+        #: behind the next in both streams).
+        self._checkpoints: List[SlipstreamProcessor] = []
         self._started = False
 
     def clean_result(self, config: SlipstreamConfig) -> SlipstreamResult:
-        """The fault-free run under ``config``: a fork of the live
-        machine run to the end with no hook."""
-        live = self._live
-        if live is None or live.retired > config.max_instructions:
-            live = self._start(config)
-        return self._hand_off(live, config).run()
+        """The fault-free run under ``config``, with no hook.
+
+        With no checkpoints yet, the run starts from the program's
+        entry and lays them; otherwise it is a fork of the latest one
+        run to the end."""
+        checkpoints = self._checkpoints
+        if checkpoints and checkpoints[-1].retired <= config.max_instructions:
+            machine = checkpoints[-1].fork()
+            machine.config = config
+            return machine.run()
+        machine = self._start(config)
+        checkpoints.clear()
+        marks: List[int] = []  # the step each checkpoint was taken at
+        steps = 0
+        while not machine.r_state.halted:
+            machine.step()
+            steps += 1
+            gap = steps - (marks[-1] if marks else 0)
+            if machine.r_state.halted or gap * CHECKPOINTS < steps:
+                continue
+            if len(checkpoints) == CHECKPOINTS:
+                # The checkpoint whose neighbours are closest goes.
+                bounds = [0, *marks, steps]
+                drop = min(range(CHECKPOINTS),
+                           key=lambda i: bounds[i + 2] - bounds[i])
+                del checkpoints[drop], marks[drop]
+            checkpoints.append(machine.fork())
+            marks.append(steps)
+        return machine.run()
 
     def fork_before(self, fault: TransientFault,
                     config: SlipstreamConfig) -> SlipstreamProcessor:
@@ -282,36 +324,35 @@ class CleanTimeline:
             def next_seq(machine: SlipstreamProcessor) -> int:
                 return machine._r_seq
         target = fault.target_seq
-        live = self._live
-        if (live is None or next_seq(live) > target
-                or live.retired > config.max_instructions):
-            live = self._start(config)
-        live.config = config
+        checkpoints = self._checkpoints
+        place = len(checkpoints)
+        while place and (next_seq(checkpoints[place - 1]) > target
+                         or checkpoints[place - 1].retired
+                         > config.max_instructions):
+            place -= 1
+        if place:
+            place -= 1
+            machine = checkpoints.pop(place)
+            keep = True
+        else:
+            machine = self._start(config)
+            keep = len(checkpoints) < CHECKPOINTS
+        machine.config = config
         step = config.trace_length
-        try:
-            while not live.r_state.halted and next_seq(live) + step <= target:
-                live.step()
-        except BaseException:
-            self._live = None
-            raise
-        return self._hand_off(live, config)
+        while not machine.r_state.halted and next_seq(machine) + step <= target:
+            machine.step()
+        if keep:
+            checkpoints.insert(place, machine.fork())
+        _TALLY["forks"] += 1
+        _TALLY["skipped_instructions"] += machine.retired
+        return machine
 
     def _start(self, config: SlipstreamConfig) -> SlipstreamProcessor:
         if self._started:
             _TALLY["restarts"] += 1
         self._started = True
         _TALLY["starts"] += 1
-        live = self._live = SlipstreamProcessor(self.program, config,
-                                                engine=self.engine)
-        return live
-
-    def _hand_off(self, live: SlipstreamProcessor,
-                  config: SlipstreamConfig) -> SlipstreamProcessor:
-        self._live = live.fork()
-        _TALLY["forks"] += 1
-        _TALLY["skipped_instructions"] += live.retired
-        live.config = config
-        return live
+        return SlipstreamProcessor(self.program, config, engine=self.engine)
 
 
 #: Process-wide timeline tallies (see :func:`timeline_snapshot`).
@@ -319,7 +360,8 @@ _TALLY: Dict[str, int] = {
     "starts": 0, "restarts": 0, "forks": 0, "skipped_instructions": 0,
 }
 
-#: The process's one timeline (at most one live clean machine).
+#: The process's one timeline (at most :data:`CHECKPOINTS` clean
+#: machines).
 _TIMELINE: Optional[CleanTimeline] = None
 
 
@@ -328,9 +370,12 @@ def _timeline_config(config: SlipstreamConfig) -> SlipstreamConfig:
 
 
 def clean_timeline(program: Program, config: SlipstreamConfig) -> CleanTimeline:
-    """The process's timeline for ``program`` (by identity), ``config``
-    (``max_instructions`` aside) and the selected engine; it replaces
-    the previous timeline if that was for anything else."""
+    """The process's timeline for ``program`` (by identity, and held),
+    ``config`` (``max_instructions`` aside) and the selected engine; it
+    replaces the previous timeline, checkpoints and all, if that was
+    for anything else.  A ``cmp`` job's fault-free run
+    (:func:`repro.eval.jobs.simulate`) lays the checkpoints that the
+    struck runs of the same program and config then fork from."""
     global _TIMELINE
     timeline = _TIMELINE
     engine = resolve_engine(None)
@@ -342,7 +387,7 @@ def clean_timeline(program: Program, config: SlipstreamConfig) -> CleanTimeline:
 
 
 def release_timeline() -> None:
-    """Drop the process's timeline and its live machine."""
+    """Drop the process's timeline and its checkpoints."""
     global _TIMELINE
     _TIMELINE = None
 
@@ -391,11 +436,12 @@ def inject_one(
     (:meth:`~repro.fault.injector.FaultInjector._prove_hang`); the
     result is the one the full co-simulation would give.
 
-    The clean run and the struck run both start from the process's
+    The clean run and the struck run both come from the process's
     :class:`CleanTimeline` for ``program`` and ``config``: the struck
-    run is a fork of a live clean machine taken just before the strike,
-    so injections served in ascending target order simulate the
-    fault-free prefix once between them.  The result is the one
+    run starts from the latest clean checkpoint before the strike,
+    stepped up to it, so the fault-free prefix is simulated once per
+    timeline plus at most one gap between checkpoints per strike.  The
+    result is the one
     ``SlipstreamProcessor(program, config, fault_hook=injector).run()``
     gives.
     """

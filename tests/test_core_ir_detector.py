@@ -1,5 +1,7 @@
 """Unit tests for the IR-detector: triggers, back-propagation, scope."""
 
+from itertools import zip_longest
+
 import pytest
 
 from repro.arch.functional import FunctionalSimulator
@@ -291,3 +293,118 @@ class TestScopeMechanics:
         _, analyses = analyses_of(source, trace_length=4)
         seqs = [a.trace_seq for a in analyses]
         assert seqs == sorted(seqs)
+
+
+class TestFork:
+    """A fork taken between two traces is an independent detector."""
+
+    #: Dead and silent writes, kept alive across traces: later traces
+    #: kill and reference values that traces from before the fork own.
+    SOURCE = """
+        addi r1, r0, {n}
+        addi r10, r0, 0x100000
+    loop:
+        addi r2, r0, {value}
+        sw   r2, 0(r10)
+        add  r5, r5, r3
+        addi r3, r0, 1
+        addi r3, r0, {step}
+        add  r4, r4, r3
+        addi r1, r1, -1
+        bne  r1, r0, loop
+        out  r4
+        halt
+    """
+
+    def _traces(self, **fields):
+        program = assemble(self.SOURCE.format(**fields))
+        steps = FunctionalSimulator(program).steps()
+        return list(TraceSelector(8).chunk(steps))
+
+    @staticmethod
+    def _run(traces):
+        detector = IRDetector()
+        analyses = []
+        for trace in traces:
+            analyses.extend(detector.feed_trace(trace))
+        return analyses + detector.drain()
+
+    def test_fork_and_source_fed_different_traces_run_independently(self):
+        ours = self._traces(n=60, value=7, step=2)
+        theirs = self._traces(n=40, value=9, step=3)
+        split = 20
+        source = IRDetector()
+        before = []
+        for trace in ours[:split]:
+            before.extend(source.feed_trace(trace))
+        fork = source.fork()
+        # Interleave the two continuations, so a shared column would
+        # carry one's writes into the other.
+        after_source, after_fork = [], []
+        for mine, other in zip_longest(ours[split:], theirs[split:]):
+            if mine is not None:
+                after_source.extend(source.feed_trace(mine))
+            if other is not None:
+                after_fork.extend(fork.feed_trace(other))
+        after_source += source.drain()
+        after_fork += fork.drain()
+        assert before + after_source == self._run(ours)
+        assert before + after_fork == self._run(ours[:split] + theirs[split:])
+        assert any(a.removed_count for a in after_fork)
+
+    #: One trace of producers still live at the fork: r6 -> r7, r8 -> r9
+    #: and a lone r13.
+    PREFIX = """
+        addi r6, r0, 5
+        add  r7, r6, r6
+        addi r8, r0, 1
+        add  r9, r8, r8
+        addi r10, r0, 2
+        addi r11, r0, 3
+        addi r12, r0, 4
+        addi r13, r0, 6
+    """
+    #: Kills r6 and r13 (unreferenced: WW) and reads r8 from the
+    #: prefix (external reference).
+    SOURCE_TAIL = """
+        addi r6, r0, 9
+        add  r15, r8, r0
+        addi r13, r0, 9
+        halt
+    """
+    #: Kills r8 and then r9 (WW, propagating to r8), kills r7 (WW; r6
+    #: is live here, so no propagation) and reads r13.
+    FORK_TAIL = """
+        addi r8, r0, 9
+        addi r9, r0, 9
+        addi r7, r0, 9
+        add  r16, r13, r0
+        halt
+    """
+
+    @staticmethod
+    def _chunks(source):
+        steps = FunctionalSimulator(assemble(source)).steps()
+        return list(TraceSelector(8).chunk(steps))
+
+    def test_prefix_flags_written_after_the_fork_stay_apart(self):
+        """Each continuation writes ``kind``, ``killed`` or
+        ``external_ref`` of a prefix producer that decides a selection
+        in the other one; the source's trace goes in first."""
+        ours = self._chunks(self.PREFIX + self.SOURCE_TAIL)
+        theirs = self._chunks(self.PREFIX + self.FORK_TAIL)
+        assert len(ours) == len(theirs) == 2
+        source = IRDetector()
+        assert source.feed_trace(ours[0]) == []
+        fork = source.fork()
+        assert source.feed_trace(ours[1]) == []
+        assert fork.feed_trace(theirs[1]) == []
+        assert source.drain() == self._run(ours)
+        got = fork.drain()
+        assert got == self._run(theirs)
+        # The fork's own run: r9's kill propagates to r8, r7's does not
+        # reach r6, and r13 stays unselected.
+        kinds = got[0].kinds
+        assert kinds[2] == RemovalKind.PROPAGATED | RemovalKind.WW
+        assert kinds[0] == RemovalKind.NONE
+        assert kinds[7] == RemovalKind.NONE

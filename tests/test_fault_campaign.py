@@ -5,12 +5,14 @@ architectural strikes, and the coverage accounting fixes (no vacuous
 1.0, NOT_FIRED excluded from denominators)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.arch.functional import FunctionalSimulator
 from repro.core.modes import CAMPAIGN_MODES
 from repro.eval import jobs, models
+from repro.eval.jobs import reference_spec
 from repro.fault.campaign import (
     MODE_FACTS,
     CampaignConfig,
@@ -19,6 +21,7 @@ from repro.fault.campaign import (
     format_coverage_table,
     format_frontier_table,
     mode_sites,
+    mode_stream_lengths,
     run_scaled_campaign,
     sample_points,
     strike_order,
@@ -502,6 +505,49 @@ class TestMultiModeSampling:
 class TestMultiModeCampaign:
     MULTI = dict(benchmarks=(BENCH,), points_per_benchmark=4, seed=11,
                  modes=CAMPAIGN_MODES)
+
+    def test_per_mode_rounds_sample_the_whole_config_s_points(self):
+        """The campaign samples one mode at a time; with two benchmarks
+        and every mode, the rounds' points concatenate to the whole
+        config's, in the same order."""
+        config = CampaignConfig(benchmarks=(BENCH, "li"),
+                                points_per_benchmark=5, seed=3,
+                                modes=CAMPAIGN_MODES)
+        lengths = {
+            mode: {BENCH: {"A": 8000 + i, "R": 10000 + i},
+                   "li": {"A": 20000 - i, "R": 25000 - i}}
+            for i, mode in enumerate(CAMPAIGN_MODES)
+        }
+        rounds = []
+        for mode in config.modes:
+            rounds += sample_points(replace(config, modes=(mode,)),
+                                    {mode: lengths[mode]})
+        assert rounds == sample_points(config, lengths)
+
+    def test_campaign_points_are_sample_points_of_its_references(
+            self, fresh_caches):
+        config = CampaignConfig(**self.MULTI)
+        result, stats = run_scaled_campaign(config)
+        references = {
+            mode: {BENCH: models.run_cached(reference_spec(BENCH, mode))}
+            for mode in CAMPAIGN_MODES
+        }
+        lengths = mode_stream_lengths(references)
+        assert result.points == sample_points(config, lengths)
+        # The returned stats fold every mode's strike pass.
+        assert stats.simulated == len(result.points)
+        assert len(stats.records) == len(result.points)
+
+    def test_cli_reports_every_strike_point_simulated(self, fresh_caches,
+                                                      capsys):
+        from repro.fault.__main__ import main
+
+        status = main(["--benchmarks", BENCH, "--modes", "all",
+                       "--points", "3", "--no-cache", "--bench-out", "-"])
+        assert status == 0
+        out = capsys.readouterr().out
+        points = 3 * len(CAMPAIGN_MODES)
+        assert f"runner: {points} simulated, 0 cache hits, 0 failed" in out
 
     def test_every_mode_contributes_points(self, fresh_caches):
         result, _ = run_scaled_campaign(CampaignConfig(**self.MULTI))

@@ -1,9 +1,11 @@
-"""Struck runs forked from a live clean machine.
+"""Struck runs forked from clean checkpoints.
 
-``inject_one`` serves every struck slipstream run from a fork of the
-process's clean timeline (``repro.fault.coverage.CleanTimeline``)
-instead of from the program's entry.  The fork must be exact: every
-case here is checked against the from-scratch oracle,
+``inject_one`` serves every struck slipstream run from the process's
+clean timeline (``repro.fault.coverage.CleanTimeline``): a clean
+machine stopped at a trace boundary before the strike, taken from the
+checkpoints that the fault-free run leaves behind, instead of a run
+from the program's entry.  The fork must be exact: every case here is
+checked against the from-scratch oracle,
 ``SlipstreamProcessor(program, config, fault_hook=injector).run()``.
 CI also runs this file under ``REPRO_COMPILED=0``, so both engines
 fork correctly.
@@ -14,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from repro import assemble
-from repro.core.modes import decorrelated_config
+from repro.core.modes import CAMPAIGN_MODES, decorrelated_config
 from repro.core.slipstream import (
     SimulationError,
     SlipstreamConfig,
@@ -23,6 +25,8 @@ from repro.core.slipstream import (
 from repro.fault import coverage
 from repro.fault.campaign import CampaignConfig, run_scaled_campaign
 from repro.fault.coverage import (
+    CHECKPOINTS,
+    CleanTimeline,
     FaultOutcome,
     InjectionResult,
     _detection_span,
@@ -220,21 +224,139 @@ class TestForkMatchesScratch:
         assert len(outcomes) >= 3
 
     def test_out_of_order_requests_restart_and_agree(self):
+        """With the reference given, no clean pass lays checkpoints: the
+        first request starts a machine from the entry and keeps a fork
+        of it, which serves the ascending requests after it; in
+        descending order a request behind every checkpoint restarts."""
         program = _program("removal-loop")
         config = SlipstreamConfig(confidence_threshold=2)
         clean = SlipstreamProcessor(program, config).run()
+        reference = dict(reference_output=clean.output,
+                         baseline_detections=clean.ir_mispredictions,
+                         max_instructions=hang_budget(clean.retired),
+                         reference_retired=clean.retired)
         faults = [TransientFault(site=site, target_seq=seq, bit=20)
                   for seq in _targets(clean)
                   for site in (FaultSite.R_ARCH, FaultSite.A_RESULT)]
-        ascending = [inject_one(program, f, config) for f in faults]
-        assert timeline_snapshot()["restarts"] == 0
-        release_timeline()
-        descending = [inject_one(program, f, config)
-                      for f in reversed(faults)]
-        assert timeline_snapshot()["restarts"] > 0
+
+        def serve(order):
+            release_timeline()
+            reset_timeline_tally()
+            results = [inject_one(program, f, config, **reference)
+                       for f in order]
+            return results, timeline_snapshot()
+
+        ascending, up = serve(faults)
+        assert (up["starts"], up["restarts"]) == (1, 0)
+        descending, down = serve(faults[::-1])
+        assert down["restarts"] > 0
         assert descending[::-1] == ascending
         assert ascending == [scratch_inject(program, f, config, False)
                              for f in faults]
+
+
+def _marks(timeline):
+    """(A seq, R seq) of each checkpoint, in order."""
+    return [(c._a_seq, c._r_seq) for c in timeline._checkpoints]
+
+
+class TestCheckpoints:
+    """The clean pass leaves at most ``CHECKPOINTS`` machines behind, and
+    a struck run forked from any of them is the from-scratch run."""
+
+    CONFIG = SlipstreamConfig(confidence_threshold=2)
+
+    def _laid(self, program):
+        timeline = clean_timeline(program, self.CONFIG)
+        clean = timeline.clean_result(self.CONFIG)
+        assert clean == SlipstreamProcessor(program, self.CONFIG).run()
+        assert len(timeline._checkpoints) == CHECKPOINTS
+        return timeline, clean
+
+    def _faults(self, timeline, clean):
+        """Strikes before the first checkpoint, between the second and
+        the third, at a checkpoint and after the last, on A- and
+        R-numbered sites."""
+        marks = _marks(timeline)
+        faults = []
+        for site, stream in ((FaultSite.A_RESULT, 0), (FaultSite.R_ARCH, 1),
+                             (FaultSite.R_TRANSIENT, 1)):
+            first, second, third = (marks[i][stream] for i in range(3))
+            last = marks[-1][stream]
+            end = clean.retired - clean.a_removed if stream == 0 \
+                else clean.retired
+            for seq in (first // 2, (second + third) // 2, third,
+                        (last + end) // 2, end - 3):
+                faults.append(TransientFault(site=site, target_seq=seq,
+                                             bit=20))
+        return faults
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_forks_from_checkpoints_match_scratch(self, workload, order):
+        program = _program(workload)
+        timeline, clean = self._laid(program)
+        faults = sorted(self._faults(timeline, clean),
+                        key=lambda f: f.target_seq,
+                        reverse=order == "descending")
+        reset_timeline_tally()
+        for fault in faults:
+            got, want = _struck_pair(program, fault, self.CONFIG, clean,
+                                     False)
+            assert got == want, fault
+            assert len(timeline._checkpoints) <= CHECKPOINTS
+        tally = timeline_snapshot()
+        assert tally["forks"] == len(faults)
+        # Only strikes behind every checkpoint start from the entry.
+        assert tally["starts"] < len(faults)
+
+    def test_never_more_than_checkpoints_machines(self, monkeypatch):
+        """A checkpoint is forked only while a place is free, through the
+        clean pass's laying and thinning and the strikes' hand-offs."""
+        program = _program("phase-walk")
+        timeline = clean_timeline(program, self.CONFIG)
+        held = []
+        real_fork = SlipstreamProcessor.fork
+
+        def counting_fork(self):
+            held.append(len(timeline._checkpoints))
+            return real_fork(self)
+
+        monkeypatch.setattr(SlipstreamProcessor, "fork", counting_fork)
+        clean = timeline.clean_result(self.CONFIG)
+        laid = len(held)
+        assert laid > CHECKPOINTS  # the pass made room at least once
+        for fault in self._faults(timeline, clean):
+            timeline.fork_before(fault, replace(
+                self.CONFIG, max_instructions=hang_budget(clean.retired)))
+        assert len(held) > laid
+        assert max(held) < CHECKPOINTS
+        assert len(timeline._checkpoints) <= CHECKPOINTS
+
+    def test_checkpoints_spread_over_the_run(self):
+        """Near-even spacing: no gap between checkpoints (or from the
+        entry to the first, or from the last to the end) is more than
+        twice the even share of the run's steps."""
+        program = _program("phase-walk")
+        timeline = clean_timeline(program, self.CONFIG)
+        machine = SlipstreamProcessor(program, self.CONFIG)
+        while not machine.r_state.halted:
+            machine.step()
+        steps = machine._obs_seq
+        timeline.clean_result(self.CONFIG)
+        bounds = [0, *(c._obs_seq for c in timeline._checkpoints), steps]
+        gaps = [b - a for a, b in zip(bounds, bounds[1:])]
+        assert min(gaps) > 0
+        assert max(gaps) <= 2 * steps / CHECKPOINTS
+
+    def test_clean_result_again_runs_from_the_last_checkpoint(self):
+        program = _program("phase-walk")
+        timeline, clean = self._laid(program)
+        checkpoints = list(timeline._checkpoints)
+        reset_timeline_tally()
+        assert timeline.clean_result(self.CONFIG) == clean
+        assert timeline_snapshot()["starts"] == 0
+        assert timeline._checkpoints == checkpoints
 
 
 class TestFork:
@@ -310,58 +432,78 @@ class TestFork:
 
 
 class TestTimeline:
-    def test_exception_mid_advance_drops_the_live_machine(self, monkeypatch):
+    def test_exception_mid_step_drops_only_that_checkpoint(self,
+                                                          monkeypatch):
         program = _program("removal-loop")
         config = SlipstreamConfig(confidence_threshold=2)
-        clean = SlipstreamProcessor(program, config).run()
-        fault = TransientFault(site=FaultSite.R_ARCH,
-                               target_seq=clean.retired // 2, bit=20)
+        timeline = clean_timeline(program, config)
+        clean = timeline.clean_result(config)
+        assert clean == SlipstreamProcessor(program, config).run()
         reference = dict(reference_output=clean.output,
                          baseline_detections=clean.ir_mispredictions,
                          max_instructions=hang_budget(clean.retired),
                          reference_retired=clean.retired)
-        want = inject_one(program, fault, config, **reference)
-        release_timeline()
-        timeline = clean_timeline(program, config)
+        # Just short of the fourth checkpoint: the third steps to it.
+        target = timeline._checkpoints[3]._r_seq - 1
+        fault = TransientFault(site=FaultSite.R_ARCH, target_seq=target,
+                               bit=20)
+        want = scratch_inject(program, fault, config, False)
+        kept = list(timeline._checkpoints)
         calls = []
         real_step = SlipstreamProcessor.step
 
         def interrupted(self):
             calls.append(self)
-            if len(calls) == 5:
+            if len(calls) == 2:
                 raise KeyboardInterrupt("inline job timeout")
             real_step(self)
 
         monkeypatch.setattr(SlipstreamProcessor, "step", interrupted)
         with pytest.raises(KeyboardInterrupt):
             inject_one(program, fault, config, **reference)
+        assert calls[0] is kept[2]
         assert coverage._TIMELINE is timeline
-        assert timeline._live is None
+        assert timeline._checkpoints == kept[:2] + kept[3:]
         monkeypatch.setattr(SlipstreamProcessor, "step", real_step)
+        reset_timeline_tally()
         assert inject_one(program, fault, config, **reference) == want
-        assert timeline_snapshot()["restarts"] == 1
+        # The second checkpoint serves the request now; nothing restarts.
+        assert timeline_snapshot()["starts"] == 0
 
-    def test_one_live_machine_per_process(self):
+    def test_one_timeline_per_process(self):
         a, b = _program("removal-loop"), _program("phase-walk")
         config = SlipstreamConfig()
         first = clean_timeline(a, config)
+        assert first.program is a
         assert clean_timeline(a, replace(config, max_instructions=10**6)) \
             is first
         second = clean_timeline(b, config)
         assert second is not first and coverage._TIMELINE is second
+        assert isinstance(second, CleanTimeline)
         assert clean_timeline(b, decorrelated_config()) is not second
         release_timeline()
         assert coverage._TIMELINE is None
 
 
 def test_campaign_forks_every_slipstream_point(fresh_caches):  # noqa: F811
-    """A campaign pass serves its slipstream points from one live machine
-    per (mode, benchmark), releases it at the end, and keeps the
-    tallies out of its payload."""
+    """An inline campaign's reference run is its only clean machine
+    from the entry: the slipstream points fork from the checkpoints it
+    left behind, and the round releases them at the end and keeps the
+    tallies out of the payload."""
     config = CampaignConfig(benchmarks=("jpeg",), points_per_benchmark=3,
                             seed=2000, modes=("slipstream",))
-    result, _stats = run_scaled_campaign(config, jobs=1,
-                                         use_disk_cache=False)
+    cleaned = []
+    real_clean_result = CleanTimeline.clean_result
+
+    def recording_clean_result(self, run_config):
+        cleaned.append(self)
+        return real_clean_result(self, run_config)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CleanTimeline, "clean_result", recording_clean_result)
+        result, _stats = run_scaled_campaign(config, jobs=1,
+                                             use_disk_cache=False)
+    assert len(cleaned) == 1
     assert coverage._TIMELINE is None
     tally = timeline_snapshot()
     assert tally["forks"] == len(result.points) == 3
@@ -370,6 +512,46 @@ def test_campaign_forks_every_slipstream_point(fresh_caches):  # noqa: F811
     payload = result.to_payload()
     assert "forks" not in str(payload)
     assert [r.fault for r in result.results] == [p.fault for p in result.points]
+
+
+def test_campaign_steps_the_clean_prefix_once(fresh_caches):  # noqa: F811
+    """Hook-less steps of an inline jpeg campaign over every mode: the
+    two clean reference runs (slipstream and decorrelated), plus for
+    each struck point at most one gap between checkpoints of its
+    config.  Starting every config's struck runs from the entry, as
+    when the reference pass and the strikes had a clean machine each,
+    steps the prefix up to the last strike a second time."""
+    config = CampaignConfig(benchmarks=("jpeg",), points_per_benchmark=3,
+                            seed=2000, modes=CAMPAIGN_MODES)
+    steps = [0]
+    passes = []
+    real_step = SlipstreamProcessor.step
+    real_clean_result = CleanTimeline.clean_result
+
+    def counting_step(self):
+        if self.fault_hook is None:
+            steps[0] += 1
+        real_step(self)
+
+    def recording_clean_result(self, run_config):
+        before = steps[0]
+        result = real_clean_result(self, run_config)
+        run_steps = steps[0] - before
+        bounds = [0, *(c._obs_seq for c in self._checkpoints), run_steps]
+        passes.append((run_steps,
+                       max(b - a for a, b in zip(bounds, bounds[1:]))))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SlipstreamProcessor, "step", counting_step)
+        patch.setattr(CleanTimeline, "clean_result", recording_clean_result)
+        result, _stats = run_scaled_campaign(config, jobs=1,
+                                             use_disk_cache=False)
+    assert not result.failed_points
+    assert len(passes) == 2  # slipstream and decorrelated references
+    points = config.points_per_benchmark
+    bound = sum(run_steps + points * gap for run_steps, gap in passes)
+    assert steps[0] <= bound, (steps[0], passes)
 
 
 def test_scenario_simulates_the_clean_run_once(monkeypatch):
