@@ -76,7 +76,7 @@ from repro.trace.selection import (
     trace_id_of,
 )
 from repro.trace.trace_id import TraceId
-from repro.uarch.cache import UNTOUCHED, Cache
+from repro.uarch.cache import Cache
 from repro.uarch.compiled_timing import timing_meta_for
 from repro.uarch.config import CoreConfig, SS_64x4
 from repro.uarch.latencies import latency_of
@@ -898,7 +898,6 @@ class SlipstreamProcessor:
         a_last_retire = self._a_last_retire
         # Cache probes inlined as in _r_phase; counters written back
         # after the loop.
-        untouched = UNTOUCHED
         aic = self.a_icache
         aic_sets, aic_lb = aic._sets, aic._line_bytes
         aic_ns, aic_assoc = aic._num_sets, aic._assoc
@@ -929,9 +928,7 @@ class SlipstreamProcessor:
                     cset[line] = aic_stamp
                 else:
                     aic_misses += 1
-                    if cset is untouched:
-                        cset = aic_sets[line % aic_ns] = {}
-                    elif len(cset) >= aic_assoc:
+                    if len(cset) >= aic_assoc:
                         del cset[min(cset, key=cset.get)]
                     cset[line] = aic_stamp
                     icache_penalty = icache_miss
@@ -952,9 +949,7 @@ class SlipstreamProcessor:
                         cset[line] = adc_stamp
                     else:
                         adc_misses += 1
-                        if cset is untouched:
-                            cset = adc_sets[line % adc_ns] = {}
-                        elif len(cset) >= adc_assoc:
+                        if len(cset) >= adc_assoc:
                             del cset[min(cset, key=cset.get)]
                         cset[line] = adc_stamp
                         dcache_penalty = dcache_miss
@@ -1125,7 +1120,6 @@ class SlipstreamProcessor:
         # Cache probes are inlined below (same hit/miss/LRU logic as
         # Cache.probe); counters accumulate in locals and are written
         # back right after the loop.
-        untouched = UNTOUCHED
         ric = self.r_icache
         ric_sets, ric_lb = ric._sets, ric._line_bytes
         ric_ns, ric_assoc = ric._num_sets, ric._assoc
@@ -1183,9 +1177,7 @@ class SlipstreamProcessor:
                 cset[line] = ric_stamp
             else:
                 ric_misses += 1
-                if cset is untouched:
-                    cset = ric_sets[line % ric_ns] = {}
-                elif len(cset) >= ric_assoc:
+                if len(cset) >= ric_assoc:
                     del cset[min(cset, key=cset.get)]
                 cset[line] = ric_stamp
                 icache_penalty = icache_miss
@@ -1209,9 +1201,7 @@ class SlipstreamProcessor:
                     cset[line] = rdc_stamp
                 else:
                     rdc_misses += 1
-                    if cset is untouched:
-                        cset = rdc_sets[line % rdc_ns] = {}
-                    elif len(cset) >= rdc_assoc:
+                    if len(cset) >= rdc_assoc:
                         del cset[min(cset, key=cset.get)]
                     cset[line] = rdc_stamp
                     dcache_penalty = dcache_miss

@@ -359,9 +359,9 @@ def fault_coverage_study(
     ``cmp`` reference, the same path as the scaled campaign.  ``jobs``
     workers run the cold points, submitted in the campaign's
     :func:`~repro.fault.campaign.strike_order` so they share one clean
-    timeline per process; the results come back in (site, target)
-    order."""
-    from repro.eval.jobs import reference_spec
+    timeline per process (with the checkpoints of the reference, when
+    it runs here); the results come back in (site, target) order."""
+    from repro.eval.jobs import open_timeline, reference_spec
     from repro.eval.runner import ExperimentRunner
     from repro.fault.campaign import (
         CampaignPoint, campaign_specs, mode_stream_lengths, strike_order,
@@ -377,9 +377,11 @@ def fault_coverage_study(
         for i in range(points)
     ]
     specs = campaign_specs(strikes, scale)
-    reference = run_cached(reference_spec(benchmark, "slipstream", scale))
-    lengths = mode_stream_lengths({"slipstream": {benchmark: reference}})
+    reference_job = reference_spec(benchmark, "slipstream", scale)
     try:
+        open_timeline(reference_job)
+        reference = run_cached(reference_job)
+        lengths = mode_stream_lengths({"slipstream": {benchmark: reference}})
         ExperimentRunner(jobs=jobs).run(
             [specs[index] for index in strike_order(strikes, lengths)])
     finally:

@@ -50,6 +50,7 @@ from repro.core.slipstream import SlipstreamConfig, SlipstreamProcessor
 from repro.eval.resilience import JobTimeout
 from repro.fault.coverage import (
     clean_timeline,
+    current_timeline,
     hang_budget,
     inject_one,
     inject_one_nstream,
@@ -221,6 +222,18 @@ def reference_spec(benchmark: str, mode: str, scale: int = 1) -> JobSpec:
     raise ValueError(f"unknown campaign mode {mode!r}")
 
 
+def open_timeline(spec: JobSpec) -> None:
+    """Open the process's clean timeline
+    (:func:`repro.fault.coverage.clean_timeline`) for a ``cmp`` job's
+    program and config, so that the job, run in this process, leaves
+    behind the checkpoints that struck runs of the same program and
+    config fork from.  Other jobs open nothing."""
+    key = spec.key
+    if key.model == "cmp":
+        clean_timeline(benchmark_program(key.benchmark, key.scale),
+                       spec.config or SlipstreamConfig())
+
+
 # ----------------------------------------------------------------------
 # The raw compute.
 # ----------------------------------------------------------------------
@@ -271,13 +284,14 @@ def simulate(spec: JobSpec, obs: Optional[Observability] = None):
         return SuperscalarCore(SS_128x8, program, obs=obs).run()
     if model == "cmp":
         program = benchmark_program(key.benchmark, key.scale)
-        if obs is not None:
-            return SlipstreamProcessor(program, spec.config, obs=obs).run()
-        # The fault-free run leaves its clean timeline's checkpoints
-        # behind: the struck runs of a campaign on this program and
-        # config fork from them instead of re-simulating the prefix.
         config = spec.config or SlipstreamConfig()
-        return clean_timeline(program, config).clean_result(config)
+        timeline = current_timeline(program, config) if obs is None else None
+        if timeline is not None:
+            # A campaign opened this program's clean timeline: the
+            # fault-free run leaves the checkpoints behind that its
+            # struck runs fork from instead of re-simulating the prefix.
+            return timeline.clean_result(config)
+        return SlipstreamProcessor(program, spec.config, obs=obs).run()
     if model == "finj":
         return _simulate_injection(spec)
     if model == "nref":

@@ -19,8 +19,8 @@ the parallel path is tested against: results must be bit-identical.
 Submission order is the caller's: a job is a deterministic function of
 its key and the code, and some callers depend on the order (the fault
 campaign submits strike points so that each process's
-:class:`repro.fault.coverage.CleanTimeline` serves them from one live
-machine).  A job that raises, or overruns the optional ``timeout``
+:class:`repro.fault.coverage.CleanTimeline` serves them from its
+checkpoints in ascending order).  A job that raises, or overruns the optional ``timeout``
 (a ``SIGALRM`` itimer in the executing process, see
 :func:`repro.eval.jobs.run_attempt`), fails alone and is not retried:
 a retry would only repeat it.  A worker that dies (OOM kill, segfault)

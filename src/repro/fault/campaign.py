@@ -498,10 +498,11 @@ def strike_order(
 ) -> List[int]:
     """The order to submit ``points`` in, as indices into ``points``.
 
-    Points go per (mode, benchmark) in order of how far into the run
-    they strike, so each process's clean timeline
-    (:class:`repro.fault.coverage.CleanTimeline`) serves them from one
-    live machine.  Progress is the target's fraction of its own stream
+    Points go per (mode, benchmark), benchmarks by name, in order of
+    how far into the run they strike, so each process's clean timeline
+    (:class:`repro.fault.coverage.CleanTimeline`) serves them by
+    forking its checkpoints in ascending order, stepping each stretch
+    of the clean run once.  Progress is the target's fraction of its own stream
     (``lengths`` as in :func:`sample_points`): A- and R-stream seqs
     differ by the removed instructions, and a raw-seq order would put
     an R-site point behind the machine an A-site point advanced.
@@ -559,11 +560,14 @@ def run_scaled_campaign(
     co-simulation, or an N-stream reference), which give the stream
     lengths its points are sampled against; then its strike points as
     ``finj`` jobs, in :func:`strike_order`.  The round ends by
-    releasing the process's clean timeline.  Run inline, a slipstream
-    reference leaves the timeline's checkpoints behind
-    (:class:`repro.fault.coverage.CleanTimeline`), and the round's
-    struck runs fork from them, so only one config's checkpoints are
-    alive at a time.  Each (mode, benchmark) pair samples from its own
+    releasing the process's clean timeline.  Before its reference pass
+    a slipstream-family round opens the timeline of the benchmark
+    struck first (:func:`repro.eval.jobs.open_timeline`); run inline,
+    that benchmark's reference leaves the timeline's checkpoints behind
+    (:class:`repro.fault.coverage.CleanTimeline`) and its struck runs
+    fork from them, so only one config's checkpoints are alive at a
+    time.  The other benchmarks' struck runs step one machine from the
+    entry.  Each (mode, benchmark) pair samples from its own
     RNG stream, so the points are those :func:`sample_points` gives for
     the whole config.
 
@@ -579,7 +583,9 @@ def run_scaled_campaign(
     hits anyway).
     """
     from repro.eval import models
-    from repro.eval.jobs import baseline_spec, job_label, reference_spec
+    from repro.eval.jobs import (
+        baseline_spec, job_label, open_timeline, reference_spec,
+    )
     from repro.eval.runner import ExperimentRunner, RunnerError
 
     runner = ExperimentRunner(jobs=jobs, use_disk_cache=use_disk_cache,
@@ -596,6 +602,10 @@ def run_scaled_campaign(
         try:
             reference_jobs = [reference_spec(benchmark, mode, config.scale)
                               for benchmark in config.benchmarks]
+            # strike_order takes a mode's benchmarks by name: the first
+            # one's reference lays the checkpoints.
+            open_timeline(reference_spec(min(config.benchmarks), mode,
+                                         config.scale))
             runner.run(reference_jobs)
             references[mode] = {
                 benchmark: models.run_cached(job)

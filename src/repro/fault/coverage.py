@@ -230,8 +230,8 @@ def hang_budget(reference_retired: int) -> int:
 
 #: Clean machines a :class:`CleanTimeline` keeps at most (its
 #: checkpoints).  Six keep each struck run's clean stepping within
-#: about a sixth of the run, at the memory of six forks (0.4 MiB on
-#: jpeg).
+#: about a sixth of the run, at the memory of six forks (about 0.8 MiB
+#: on jpeg).
 CHECKPOINTS = 6
 
 
@@ -369,20 +369,32 @@ def _timeline_config(config: SlipstreamConfig) -> SlipstreamConfig:
     return replace(config, max_instructions=SlipstreamConfig.max_instructions)
 
 
-def clean_timeline(program: Program, config: SlipstreamConfig) -> CleanTimeline:
-    """The process's timeline for ``program`` (by identity, and held),
-    ``config`` (``max_instructions`` aside) and the selected engine; it
-    replaces the previous timeline, checkpoints and all, if that was
-    for anything else.  A ``cmp`` job's fault-free run
-    (:func:`repro.eval.jobs.simulate`) lays the checkpoints that the
-    struck runs of the same program and config then fork from."""
-    global _TIMELINE
+def current_timeline(program: Program,
+                     config: SlipstreamConfig) -> Optional[CleanTimeline]:
+    """The process's timeline if it is for ``program`` (by identity),
+    ``config`` (``max_instructions`` aside) and the selected engine,
+    else None."""
     timeline = _TIMELINE
-    engine = resolve_engine(None)
     if (timeline is None or timeline.program is not program
-            or timeline.engine != engine
+            or timeline.engine != resolve_engine(None)
             or timeline.config != _timeline_config(config)):
-        timeline = _TIMELINE = CleanTimeline(program, config, engine)
+        return None
+    return timeline
+
+
+def clean_timeline(program: Program, config: SlipstreamConfig) -> CleanTimeline:
+    """The process's timeline for ``program`` (held), ``config`` and the
+    selected engine (see :func:`current_timeline`); it replaces the
+    previous timeline, checkpoints and all, if that was for anything
+    else.  A campaign opens the timeline of the benchmark it strikes
+    first before its reference pass, so that the fault-free ``cmp``
+    job (:func:`repro.eval.jobs.simulate`) lays the checkpoints which
+    the struck runs then fork from."""
+    global _TIMELINE
+    timeline = current_timeline(program, config)
+    if timeline is None:
+        timeline = _TIMELINE = CleanTimeline(program, config,
+                                             resolve_engine(None))
     return timeline
 
 

@@ -8,17 +8,9 @@ hit/miss decisions; lines hold no data (the architectural state lives in
 from __future__ import annotations
 
 import copy
-from types import MappingProxyType
-from typing import Dict, List, cast
+from typing import Dict, List
 
 from repro.uarch.config import CacheConfig
-
-#: A set that no access has touched yet: one read-only empty mapping
-#: that every cache starts with in every set.  A miss in it gives the
-#: set a dict of its own, on the miss path only (here and in the loops
-#: that inline :meth:`Cache.probe`), so a fork copies only the sets a
-#: run has touched.
-UNTOUCHED = cast(Dict[int, int], MappingProxyType({}))
 
 
 class Cache:
@@ -26,7 +18,7 @@ class Cache:
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self._sets: List[Dict[int, int]] = [UNTOUCHED] * config.num_sets
+        self._sets: List[Dict[int, int]] = [dict() for _ in range(config.num_sets)]
         self._stamp = 0
         self.accesses = 0
         self.misses = 0
@@ -39,10 +31,7 @@ class Cache:
     def fork(self) -> "Cache":
         """An independent copy of the tags, LRU stamps and tallies."""
         forked = copy.copy(self)
-        forked._sets = [
-            cache_set if cache_set is UNTOUCHED else dict(cache_set)
-            for cache_set in self._sets
-        ]
+        forked._sets = [dict(cache_set) for cache_set in self._sets]
         return forked
 
     def probe(self, addr: int) -> bool:
@@ -67,9 +56,7 @@ class Cache:
             cache_set[line] = stamp
             return True
         self.misses += 1
-        if cache_set is UNTOUCHED:
-            cache_set = self._sets[line % self._num_sets] = {}
-        elif len(cache_set) >= self._assoc:
+        if len(cache_set) >= self._assoc:
             victim = min(cache_set, key=cache_set.get)
             del cache_set[victim]
         cache_set[line] = stamp

@@ -70,7 +70,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.arch.compiled import program_keyed_memo
 from repro.isa.instructions import WORD
 from repro.isa.program import Program, TEXT_BASE
-from repro.uarch.cache import UNTOUCHED, Cache
+from repro.uarch.cache import Cache
 from repro.uarch.config import CoreConfig
 from repro.uarch.latencies import latency_of
 from repro.uarch.scheduler import OoOScheduler, Timestamps
@@ -342,9 +342,7 @@ class TraceTimingEngine:
                 iappend(0)
             else:
                 imisses += 1
-                if cset is UNTOUCHED:
-                    cset = isets[si] = {}
-                elif len(cset) >= iassoc:
+                if len(cset) >= iassoc:
                     del cset[min(cset, key=cset.get)]
                 cset[line] = istamp
                 iappend(imiss_pen)
@@ -402,9 +400,7 @@ class TraceTimingEngine:
                     dappend(0)
                 else:
                     dmisses += 1
-                    if cset is UNTOUCHED:
-                        cset = dsets[line % dns] = {}
-                    elif len(cset) >= dassoc:
+                    if len(cset) >= dassoc:
                         del cset[min(cset, key=cset.get)]
                     cset[line] = dstamp
                     dappend(dmiss_pen)

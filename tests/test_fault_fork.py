@@ -22,6 +22,7 @@ from repro.core.slipstream import (
     SlipstreamConfig,
     SlipstreamProcessor,
 )
+from repro.eval import jobs, models
 from repro.fault import coverage
 from repro.fault.campaign import CampaignConfig, run_scaled_campaign
 from repro.fault.coverage import (
@@ -32,6 +33,7 @@ from repro.fault.coverage import (
     _detection_span,
     classify_run,
     clean_timeline,
+    current_timeline,
     hang_budget,
     inject_one,
     release_timeline,
@@ -481,8 +483,34 @@ class TestTimeline:
         assert second is not first and coverage._TIMELINE is second
         assert isinstance(second, CleanTimeline)
         assert clean_timeline(b, decorrelated_config()) is not second
+        assert current_timeline(b, config) is None
+        assert current_timeline(b, replace(decorrelated_config(),
+                                           max_instructions=10**6)) \
+            is coverage._TIMELINE
+        assert current_timeline(a, decorrelated_config()) is None
         release_timeline()
         assert coverage._TIMELINE is None
+        assert current_timeline(b, decorrelated_config()) is None
+
+
+def test_a_cmp_job_outside_a_campaign_lays_no_checkpoints(
+        fresh_caches):  # noqa: F811
+    """A ``cmp`` job with no timeline open for its program and config
+    (the report sweep's) is a plain run: it opens no timeline and forks
+    nothing.  One whose timeline is open leaves its checkpoints there,
+    and its result is the plain run's."""
+    release_timeline()
+    reset_timeline_tally()
+    plain = models.run_slipstream_model("jpeg")
+    assert coverage._TIMELINE is None
+    assert timeline_snapshot()["starts"] == 0
+    spec = jobs.reference_spec("jpeg", "slipstream")
+    jobs.open_timeline(spec)
+    timeline = coverage._TIMELINE
+    assert jobs.simulate(spec) == plain
+    assert timeline_snapshot()["starts"] == 1
+    assert 0 < len(timeline._checkpoints) <= CHECKPOINTS
+    release_timeline()
 
 
 def test_campaign_forks_every_slipstream_point(fresh_caches):  # noqa: F811
@@ -552,6 +580,54 @@ def test_campaign_steps_the_clean_prefix_once(fresh_caches):  # noqa: F811
     points = config.points_per_benchmark
     bound = sum(run_steps + points * gap for run_steps, gap in passes)
     assert steps[0] <= bound, (steps[0], passes)
+
+
+def test_two_benchmark_campaign_steps_the_first_struck_prefix_once(
+        fresh_caches):  # noqa: F811
+    """``strike_order`` takes a mode's benchmarks by name, so ``go`` is
+    struck first although ``jpeg``'s reference runs last.  The round
+    opens ``go``'s timeline before the reference pass: its reference
+    lays the checkpoints and its struck runs step the clean prefix once
+    (the clean run plus at most one gap per point).  Were the last
+    reference's timeline kept instead, ``go``'s struck runs would step
+    their prefix again from the entry.  ``jpeg``'s reference is a plain
+    run, and its struck runs step one machine from the entry."""
+    config = CampaignConfig(benchmarks=("go", "jpeg"), points_per_benchmark=3,
+                            seed=2000, modes=("slipstream",))
+    first = jobs.benchmark_program("go")
+    steps = [0]
+    passes = []
+    real_step = SlipstreamProcessor.step
+    real_clean_result = CleanTimeline.clean_result
+
+    def counting_step(self):
+        if self.fault_hook is None and self.program is first:
+            steps[0] += 1
+        real_step(self)
+
+    def recording_clean_result(self, run_config):
+        before = steps[0]
+        result = real_clean_result(self, run_config)
+        run_steps = steps[0] - before
+        bounds = [0, *(c._obs_seq for c in self._checkpoints), run_steps]
+        passes.append((self.program, run_steps,
+                       max(b - a for a, b in zip(bounds, bounds[1:]))))
+        return result
+
+    reset_timeline_tally()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SlipstreamProcessor, "step", counting_step)
+        patch.setattr(CleanTimeline, "clean_result", recording_clean_result)
+        result, _stats = run_scaled_campaign(config, jobs=1,
+                                             use_disk_cache=False)
+    assert not result.failed_points
+    assert [program for program, _, _ in passes] == [first]
+    _, run_steps, gap = passes[0]
+    assert steps[0] <= run_steps + config.points_per_benchmark * gap, \
+        (steps[0], passes)
+    tally = timeline_snapshot()
+    assert (tally["starts"], tally["restarts"]) == (2, 0), tally
+    assert tally["forks"] == len(result.points) == 6
 
 
 def test_scenario_simulates_the_clean_run_once(monkeypatch):

@@ -16,9 +16,9 @@ from repro.eval import jobs, models
 from repro.eval.experiments import fault_coverage_study
 from repro.eval.jobs import injection_spec
 from repro.fault.coverage import (
+    CleanTimeline,
     hang_budget,
     inject_one,
-    release_timeline,
     reset_timeline_tally,
     timeline_snapshot,
 )
@@ -94,30 +94,39 @@ def test_study_reuses_the_cached_reference(fresh_caches, monkeypatch):
 
 
 def test_study_points_share_one_clean_timeline(fresh_caches):
-    """``cmp/jpeg`` ran in this process and left the clean timeline's
-    checkpoints behind, and both sites' points are submitted in strike
-    order, so every point forks from a checkpoint: no clean machine
-    starts from the entry."""
+    """``cmp/jpeg`` ran before the study, as in the report sweep, and
+    laid no checkpoints: both sites' points are submitted in strike
+    order, so one clean machine from the entry serves all of them; in
+    (site, target) order the second site's first point would be behind
+    it and restart it."""
     models.run_instruction_count(BENCH)
     models.run_slipstream_model(BENCH)
     reset_timeline_tally()
     study = fault_coverage_study(BENCH, points=POINTS, sites=SITES)
     tally = timeline_snapshot()
-    assert (tally["starts"], tally["restarts"]) == (0, 0), tally
+    assert (tally["starts"], tally["restarts"]) == (1, 0), tally
     assert tally["forks"] == len(study.results) == POINTS * len(SITES)
 
 
-def test_study_on_a_disk_warm_reference_shares_one_machine(fresh_caches):
-    """With ``cmp/jpeg`` read from the disk cache, no clean pass lays
-    checkpoints in this process: one machine from the entry serves every
-    point in strike order; in (site, target) order the second site's
-    first point would be behind it and restart it."""
+def test_study_points_fork_the_checkpoints_of_a_cold_reference(
+        fresh_caches):
+    """With ``cmp/jpeg`` cold, the study opens the clean timeline before
+    its reference runs, so the reference lays the checkpoints and every
+    point forks from one: no clean machine starts from the entry."""
     models.run_instruction_count(BENCH)
-    models.run_slipstream_model(BENCH)
-    models._CACHE.clear()
-    release_timeline()
+    cleaned = []
+    real_clean_result = CleanTimeline.clean_result
+
+    def recording_clean_result(self, run_config):
+        cleaned.append(self)
+        return real_clean_result(self, run_config)
+
     reset_timeline_tally()
-    study = fault_coverage_study(BENCH, points=POINTS, sites=SITES)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CleanTimeline, "clean_result", recording_clean_result)
+        study = fault_coverage_study(BENCH, points=POINTS, sites=SITES)
     tally = timeline_snapshot()
+    # The reference's clean run is the one machine from the entry.
+    assert len(cleaned) == 1
     assert (tally["starts"], tally["restarts"]) == (1, 0), tally
     assert tally["forks"] == len(study.results) == POINTS * len(SITES)
